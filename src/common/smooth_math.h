@@ -59,15 +59,28 @@ inline double smooth_max(std::span<const double> xs, double gamma,
   return m + gamma * std::log(sum);
 }
 
-// Smooth min: -LSE(-x). Weights are again positive, summing to 1, and equal to
-// d(smooth_min)/d(x_i).
+// Smooth min: -LSE(-x), written out (min-subtracted) so it needs no scratch
+// for the negated operands; bitwise equal to -smooth_max(-x).  Weights are
+// again positive, summing to 1, and equal to d(smooth_min)/d(x_i).
 inline double smooth_min(std::span<const double> xs, double gamma,
                          std::vector<double>& weights) {
-  thread_local std::vector<double> negated;
-  negated.assign(xs.begin(), xs.end());
-  for (double& x : negated) x = -x;
-  const double v = smooth_max(negated, gamma, weights);
-  return -v;
+  DTP_ASSERT(!xs.empty());
+  DTP_ASSERT(gamma > 0.0);
+  const double m = *std::min_element(xs.begin(), xs.end());
+  weights.resize(xs.size());
+  if (!std::isfinite(m)) {
+    // Degenerate: every operand is +inf (or a -inf dominates).
+    std::fill(weights.begin(), weights.end(), 0.0);
+    weights[0] = 1.0;
+    return m;
+  }
+  double sum = 0.0;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    weights[i] = std::exp((m - xs[i]) / gamma);
+    sum += weights[i];
+  }
+  for (double& w : weights) w /= sum;
+  return m - gamma * std::log(sum);
 }
 
 // Exact max with one-hot subgradient, used by the timer's non-smoothed mode.

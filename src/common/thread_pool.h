@@ -14,8 +14,10 @@
 // objects, no queue nodes: the steady-state hot loop performs **zero heap
 // allocations** (the counting-allocator test enforces this).  An epoch counter
 // plus an active-claimer count make the job fields race-free: workers only
-// observe a job under the pool mutex, and the dispatcher does not return (or
-// install the next job) until every claimer has left the claim loop.
+// join a job under the pool mutex, and the dispatcher installs the next job
+// under that mutex only once every claimer has left the claim loop — a worker
+// that woke too late for the previous job (and joined it after it drained)
+// included.
 //
 // The pool keeps lightweight utilization statistics (chunk counts, time chunks
 // waited between dispatch and execution, time workers spent executing, the
@@ -245,7 +247,8 @@ class ThreadPool {
   // The one in-flight chunk-claiming job.  Fields are written by the
   // dispatcher under mutex_ and read by workers that observed the matching
   // epoch under the same mutex; they stay frozen until every claimer left
-  // (active_ == 0), which the dispatcher awaits before returning.
+  // (active_ == 0), which the next dispatcher awaits, holding mutex_, before
+  // it rewrites them.
   struct Job {
     const void* ctx = nullptr;
     ChunkFn fn = nullptr;
@@ -276,6 +279,17 @@ class ThreadPool {
     const size_t n_chunks = (n + step - 1) / step;
     {
       std::lock_guard<std::mutex> lock(mutex_);
+      // The previous dispatch returned once its chunks were done, but a worker
+      // that woke late may have joined that drained job since and still be in
+      // run_chunks.  Rewriting job_ under it could let it claim a chunk of
+      // this job before `remaining` is set and lose that chunk's completion.
+      // Workers join only under mutex_, so after this wait none can.
+      if (active_.load(std::memory_order_acquire) != 0) {
+        std::unique_lock<std::mutex> done(done_mutex_);
+        done_cv_.wait(done, [this] {
+          return active_.load(std::memory_order_acquire) == 0;
+        });
+      }
       job_.ctx = ctx;
       job_.fn = fn;
       job_.begin = begin;
@@ -345,7 +359,7 @@ class ThreadPool {
         if (stop_) return;
         seen_epoch = epoch_;
         // Joining the claim loop is only possible while holding mutex_ with
-        // the current epoch observed — the dispatcher cannot overwrite job_
+        // the current epoch observed — no dispatcher can overwrite job_
         // until this claimer leaves again (active_ returns to 0).
         active_.fetch_add(1, std::memory_order_relaxed);
       }

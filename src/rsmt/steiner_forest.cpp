@@ -1,7 +1,5 @@
 #include "rsmt/steiner_forest.h"
 
-#include "common/assert.h"
-
 namespace dtp::rsmt {
 
 void SteinerForest::finalize() {
@@ -17,19 +15,16 @@ void SteinerForest::finalize() {
   topo_.assign(static_cast<size_t>(total), 0);
 }
 
-void SteinerForest::assign(int net, const SteinerTree& tree) {
+void SteinerForest::rebuild(int net, RsmtScratch& scratch, int num_pins,
+                            int driver, const RsmtOptions& opts) {
   const size_t n = static_cast<size_t>(net);
-  const size_t m = tree.nodes.size();
-  DTP_ASSERT_MSG(m <= static_cast<size_t>(capacity_[n]),
-                 "Steiner tree exceeds its forest arena slot");
   const size_t off = static_cast<size_t>(offset_[n]);
-  for (size_t k = 0; k < m; ++k) {
-    nodes_[off + k] = tree.nodes[k];
-    topo_[off + k] = tree.topo_order[k];
-  }
-  count_[n] = static_cast<int>(m);
-  num_pins_[n] = tree.num_pins;
-  root_[n] = tree.root;
+  const size_t cap = static_cast<size_t>(capacity_[n]);
+  count_[n] = build_rsmt_into(scratch, num_pins, driver, opts,
+                              {nodes_.data() + off, cap},
+                              {topo_.data() + off, cap});
+  num_pins_[n] = num_pins;
+  root_[n] = driver;
 }
 
 }  // namespace dtp::rsmt

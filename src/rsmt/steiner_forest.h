@@ -11,8 +11,9 @@
 // Offsets are computed once from a fixed per-net node *capacity* (the net's
 // degree plus the worst-case number of 1-Steiner insertions the builder can
 // make), so a rebuild that changes a tree's Steiner count never moves its
-// neighbours: trees are rebuilt and dragged strictly in place.  `assign`
-// checks the capacity invariant.
+// neighbours: trees are rebuilt and dragged strictly in place.  `rebuild`
+// runs the RSMT builder straight into the slot and checks the capacity
+// invariant.
 //
 // Trees are addressed by NetId; nets that carry no tree (clock nets,
 // dangling nets) have zero capacity and an empty view.
@@ -20,6 +21,7 @@
 
 #include <vector>
 
+#include "rsmt/rsmt_builder.h"
 #include "rsmt/steiner_tree.h"
 
 namespace dtp::rsmt {
@@ -45,9 +47,11 @@ class SteinerForest {
   int num_nodes(int net) const { return count_[static_cast<size_t>(net)]; }
   bool has_tree(int net) const { return count_[static_cast<size_t>(net)] > 0; }
 
-  // Copies an owning tree (from the RSMT builder) into the net's arena slot.
-  // Aborts if the tree exceeds the slot's capacity.
-  void assign(int net, const SteinerTree& tree);
+  // Builds the net's tree over scratch.pts[0, num_pins) rooted at pin
+  // `driver` directly into its arena slot (build_rsmt_into).  Aborts if the
+  // tree exceeds the slot's capacity.
+  void rebuild(int net, RsmtScratch& scratch, int num_pins, int driver,
+               const RsmtOptions& opts);
 
   // Mutable view of one net's tree; empty view when the net has no tree.
   SteinerTreeView tree(int net) {

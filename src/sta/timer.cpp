@@ -185,24 +185,34 @@ void Timer::update_positions(std::span<const double> cell_x,
   }
 }
 
+void Timer::rebuild_tree(NetId n, size_t slot) {
+  const netlist::Net& net = design_->netlist.net(n);
+  rsmt::RsmtScratch& scratch = ws_->rsmt_scratch[slot];
+  int driver_idx = 0;
+  for (size_t k = 0; k < net.pins.size(); ++k) {
+    scratch.pts[k] = ws_->pin_pos[static_cast<size_t>(net.pins[k])];
+    if (net.pins[k] == net.driver) driver_idx = static_cast<int>(k);
+  }
+  ws_->forest.rebuild(n, scratch, static_cast<int>(net.pins.size()), driver_idx,
+                      options_.rsmt);
+}
+
+void Timer::publish_rsmt_counts() {
+  rsmt::RsmtCounts total;
+  for (rsmt::RsmtScratch& scratch : ws_->rsmt_scratch) {
+    total += scratch.counts;
+    scratch.counts = {};
+  }
+  rsmt::publish_counts(total);
+}
+
 void Timer::build_trees() {
   DTP_TRACE_SCOPE("rsmt_build_trees");
-  const netlist::Netlist& nl = design_->netlist;
   const auto& nets = graph_->timing_nets();
-  ThreadPool::global().parallel_for(
-      0, nets.size(),
-      [&](size_t i) {
-        const NetId n = nets[i];
-        const netlist::Net& net = nl.net(n);
-        std::vector<Vec2> pts(net.pins.size());
-        int driver_idx = 0;
-        for (size_t k = 0; k < net.pins.size(); ++k) {
-          pts[k] = ws_->pin_pos[static_cast<size_t>(net.pins[k])];
-          if (net.pins[k] == net.driver) driver_idx = static_cast<int>(k);
-        }
-        ws_->forest.assign(n, rsmt::build_rsmt(pts, driver_idx, options_.rsmt));
-      },
+  ThreadPool::global().parallel_for_slotted(
+      0, nets.size(), [&](size_t slot, size_t i) { rebuild_tree(nets[i], slot); },
       /*grain=*/8);
+  publish_rsmt_counts();
   trees_built_ = true;
 }
 
@@ -478,26 +488,20 @@ TimingMetrics Timer::evaluate_incremental(std::span<const double> cell_x,
     worklist.emplace(graph_->level_of(p), p);
   };
 
+  const size_t slot = ThreadPool::global().caller_slot();
   for (const NetId n : nets) {
-    const netlist::Net& net = nl.net(n);
-    std::vector<Vec2> pts(net.pins.size());
-    int driver_idx = 0;
-    for (size_t k = 0; k < net.pins.size(); ++k) {
-      pts[k] = ws_->pin_pos[static_cast<size_t>(net.pins[k])];
-      if (net.pins[k] == net.driver) driver_idx = static_cast<int>(k);
-    }
-    ws_->forest.assign(n, rsmt::build_rsmt(pts, driver_idx, options_.rsmt));
+    rebuild_tree(n, slot);
     elmore_forward(ws_->net_view(n), ws_->net_pin_caps(n), con.wire_res,
                    con.wire_cap, options_.wire_model);
     // Seeds: sinks (net delay changed) and the driver (its load changed).
-    for (const PinId p : net.pins)
+    for (const PinId p : nl.net(n).pins)
       if (graph_->in_graph(p)) enqueue(p);
   }
+  publish_rsmt_counts();
 
   // 3. Cone propagation in level order; unchanged pins cut the cone.  Every
   // recomputed pin refreshes its candidate-cache region, so the cache stays
   // consistent with the incremental state.
-  const size_t slot = ThreadPool::global().caller_slot();
   size_t visited = 0;
   size_t num_changed = 0;
   while (!worklist.empty()) {

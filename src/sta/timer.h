@@ -24,8 +24,8 @@
 // schedule through ThreadPool::parallel_for_slotted — the CPU analogue of the
 // paper's per-level CUDA kernels — with consecutive small levels fused into
 // one serial pass over the flat schedule (same pin order, fewer dispatches).
-// The drag-path forward (no tree rebuild) and the slack update are
-// allocation-free at steady state.
+// The forward flow — drag path or full tree rebuild — and the slack update
+// are allocation-free at steady state.
 #pragma once
 
 #include <memory>
@@ -241,6 +241,12 @@ class Timer {
   void propagate_level(int level, bool early);  // profiled (unfused) path
   void sweep_levels(bool early);                // fused-group path
   void init_sources(bool early);
+  // Rebuilds net n's Steiner tree at the current pin positions into its
+  // forest slot, using the RSMT scratch of dispatch slot `slot`.
+  void rebuild_tree(NetId n, size_t slot);
+  // Adds every slot's RSMT construction counts to the registry and clears
+  // them (once per batch of rebuilds).
+  void publish_rsmt_counts();
   // Recomputes at/slew of one pin from its fan-in; returns true if changed.
   // `slot` addresses per-slot scratch (ThreadPool slot of the executor).
   bool update_pin(PinId v, bool early, size_t slot);

@@ -16,16 +16,6 @@ double lookup_override(const std::unordered_map<std::string, double>& overrides,
   const auto it = overrides.find(key);
   return it == overrides.end() ? fallback : it->second;
 }
-
-// Worst-case node count the RSMT builder can produce for a net of `deg` pins:
-// degree <= 2 yields a plain edge; otherwise the exact degree-3 solver or the
-// iterated 1-Steiner heuristic add at most max(1, kr_max_rounds) Steiner
-// points (plain RMST adds none).  Capacities are upper bounds, not exact
-// counts — SteinerForest::assign checks the invariant.
-int tree_capacity(size_t deg, const rsmt::RsmtOptions& opts) {
-  if (deg <= 2) return static_cast<int>(deg);
-  return static_cast<int>(deg) + std::max(1, opts.kr_max_rounds);
-}
 }  // namespace
 
 TimingWorkspace::TimingWorkspace(const netlist::Design& design,
@@ -40,8 +30,12 @@ TimingWorkspace::TimingWorkspace(const netlist::Design& design,
 
   // ---- Steiner forest + per-node arenas ----
   forest = rsmt::SteinerForest(n_nets);
-  for (NetId n : graph.timing_nets())
-    forest.set_capacity(n, tree_capacity(nl.net(n).pins.size(), rsmt_opts));
+  size_t max_degree = 0;
+  for (NetId n : graph.timing_nets()) {
+    const size_t deg = nl.net(n).pins.size();
+    forest.set_capacity(n, rsmt::max_tree_nodes(deg, rsmt_opts));
+    max_degree = std::max(max_degree, deg);
+  }
   forest.finalize();
   const size_t total = forest.total_capacity();
   edge_len.assign(total, 0.0);
@@ -130,6 +124,7 @@ TimingWorkspace::TimingWorkspace(const netlist::Design& design,
   pin_gy.assign(n_pins, 0.0);
 
   // ---- scratch (reserved; the hot loops resize within capacity only) ----
+  rsmt_scratch.assign(num_slots, rsmt::RsmtScratch(max_degree, rsmt_opts));
   slots.resize(num_slots);
   for (LevelScratch& s : slots) {
     s.cands.reserve(max_candidates_);

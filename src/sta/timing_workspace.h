@@ -19,14 +19,13 @@
 //   * per-slot and serial scratch — capacity-reserved vectors for the level
 //     kernels, slack aggregation, endpoint seeding and the Elmore adjoint.
 //
-// Zero-allocation contract: after construction (and the first tree build),
-// a drag-path forward (drag_trees + run_elmore + propagate + update_slacks)
-// plus a backward pass performs no heap allocation.  Scratch vectors are only
-// ever resized within their reserved capacity; everything else is written
-// through pre-sized arrays.  tests/test_zero_alloc.cpp enforces this with a
-// counting global allocator.  Full Steiner rebuilds (1 in
-// steiner_rebuild_period calls) and evaluate_incremental are outside the
-// contract — both allocate in the RSMT builder.
+// Zero-allocation contract: after construction (and the first forward), a
+// forward pass — drag path or full Steiner rebuild (build_trees, which builds
+// straight into the forest with one RsmtScratch per dispatch slot) — plus a
+// backward pass performs no heap allocation.  Scratch vectors are only ever
+// resized within their reserved capacity; everything else is written through
+// pre-sized arrays.  tests/test_zero_alloc.cpp enforces this with a counting
+// global allocator.  evaluate_incremental's worklist is outside the contract.
 #pragma once
 
 #include <vector>
@@ -136,6 +135,7 @@ class TimingWorkspace {
   }
 
   // ---- scratch (capacity-reserved; resized only within capacity) ----
+  std::vector<rsmt::RsmtScratch> rsmt_scratch;     // per dispatch slot
   std::vector<LevelScratch> slots;                 // per dispatch slot
   std::vector<double> values, w_at, w_slew;        // serial sweeps
   std::vector<ArcCandidate> cands;                 // serial gathers

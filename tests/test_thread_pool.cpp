@@ -51,6 +51,20 @@ TEST(ThreadPool, BlocksUntilAllWorkDone) {
   EXPECT_EQ(sum.load(), 500500L);
 }
 
+// Many back-to-back dispatches just above the inline threshold: workers
+// often wake after the previous job already drained, which must neither lose
+// a chunk of the next job nor hang the dispatcher.  Bounded by the ctest
+// TIMEOUT of this binary.
+TEST(ThreadPool, BackToBackTinyDispatchesNeverHang) {
+  ThreadPool pool(4);
+  constexpr size_t kGrain = 8;
+  constexpr size_t kDispatches = 100000;
+  std::vector<int> out(kGrain + 1, 0);
+  for (size_t d = 0; d < kDispatches; ++d)
+    pool.parallel_for(0, out.size(), [&](size_t i) { ++out[i]; }, kGrain);
+  for (const int v : out) EXPECT_EQ(v, static_cast<int>(kDispatches));
+}
+
 TEST(ThreadPool, GlobalPoolIsUsable) {
   std::atomic<int> count{0};
   ThreadPool::global().parallel_for(0, 50, [&](size_t) { ++count; }, 4);

@@ -1,14 +1,15 @@
 // Zero-allocation contract of the steady-state timing hot loop (DESIGN.md
-// §10): once warmed up, a drag-path forward() plus backward() on the shared
-// TimingWorkspace must not touch the heap at all.  Enforced by replacing the
-// global allocation functions with counting versions — any vector growth,
+// §10): once warmed up, a forward() — drag path or full Steiner rebuild —
+// plus backward() on the shared TimingWorkspace, and a hard-mode
+// Timer::evaluate(), must not touch the heap at all.  Enforced by replacing
+// the global allocation functions with counting versions — any vector growth,
 // std::function capture, or temporary container in the hot loop fails the
 // test, keeping the contract honest under refactors.
 //
-// Excluded by design (and by this test): the first forward() (arena sizing,
-// RSMT construction), full Steiner rebuilds, evaluate_incremental's worklist,
-// and one extra warm-up round for lazily-initialized statics (metrics
-// registration, thread_local smoothing scratch).
+// Excluded by design (and by this test): the first forward() (arena sizing),
+// evaluate_incremental's worklist, and one extra warm-up round for
+// lazily-initialized statics (metrics registration, thread_local smoothing
+// scratch).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -164,6 +165,47 @@ TEST(ZeroAlloc, SteadyStateWithActivityTrackingIsAllocationFree) {
   EXPECT_GE(tracker.forward_evals(), 5u);
   EXPECT_GE(tracker.backward_evals(), 5u);
   EXPECT_GT(tracker.fwd_active_total(), 0u);  // nudges really moved timing
+}
+
+TEST(ZeroAlloc, FullRebuildSteadyStateIsAllocationFree) {
+  // Every round rebuilds every Steiner tree (the NetWeighting regime): the
+  // builder works in the workspace's per-slot RSMT scratch and writes
+  // straight into the forest.
+  const liberty::CellLibrary lib = liberty::make_synthetic_library();
+  workload::WorkloadOptions opts;
+  opts.num_cells = 400;
+  opts.seed = 17;
+  const netlist::Design design = workload::generate_design(lib, opts);
+  const sta::TimingGraph graph(design.netlist);
+
+  dtimer::DiffTimer dt(design, graph, dtimer::DiffTimerOptions{});
+  sta::Timer hard(design, graph);  // hard aggregation, late corner
+
+  const size_t nc = design.netlist.num_cells();
+  std::vector<double> x(design.cell_x.begin(), design.cell_x.end());
+  std::vector<double> y(design.cell_y.begin(), design.cell_y.end());
+  std::vector<double> gx(nc, 0.0), gy(nc, 0.0);
+
+  for (int round = 0; round < 2; ++round) {
+    nudge(design, x, y, round);
+    dt.forward(x, y, /*force_rebuild=*/true);
+    dt.backward(0.6, 0.4, gx, gy);
+    hard.evaluate(x, y);
+  }
+
+  for (int round = 2; round <= 4; ++round) {
+    nudge(design, x, y, round);
+    const long before = g_alloc_count.load(std::memory_order_relaxed);
+    dt.forward(x, y, /*force_rebuild=*/true);
+    dt.backward(0.5, 0.5, gx, gy);
+    const long mid = g_alloc_count.load(std::memory_order_relaxed);
+    hard.evaluate(x, y);
+    const long after = g_alloc_count.load(std::memory_order_relaxed);
+    EXPECT_TRUE(dt.last_forward().rebuilt);
+    EXPECT_EQ(mid - before, 0L) << "heap allocation in rebuild round " << round;
+    EXPECT_EQ(after - mid, 0L) << "heap allocation in Timer::evaluate, round "
+                               << round;
+  }
 }
 
 TEST(ZeroAlloc, HoldCornerSteadyStateIsAllocationFree) {
