@@ -35,28 +35,34 @@ inline double log_sum_exp(std::span<const double> xs, double gamma) {
   return m + gamma * std::log(sum);
 }
 
-// Smooth max and its softmax weights. `weights` is resized to xs.size() and
-// holds d(LSE)/d(x_i); the weights are positive and sum to 1.
-inline double smooth_max(std::span<const double> xs, double gamma,
-                         std::vector<double>& weights) {
-  DTP_ASSERT(!xs.empty());
+// Smooth max and its softmax weights: writes the n weights
+// d(LSE)/d(x_i) to `weights` (caller-sized); they are positive and sum to 1.
+inline double smooth_max(const double* xs, size_t n, double gamma,
+                         double* weights) {
+  DTP_ASSERT(n > 0);
   DTP_ASSERT(gamma > 0.0);
-  const double m = *std::max_element(xs.begin(), xs.end());
-  weights.resize(xs.size());
+  const double m = *std::max_element(xs, xs + n);
   if (!std::isfinite(m)) {
     // Degenerate: every operand is -inf. Put all weight on the first operand;
     // the value propagates as -inf and the gradient is irrelevant.
-    std::fill(weights.begin(), weights.end(), 0.0);
+    std::fill(weights, weights + n, 0.0);
     weights[0] = 1.0;
     return m;
   }
   double sum = 0.0;
-  for (size_t i = 0; i < xs.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     weights[i] = std::exp((xs[i] - m) / gamma);
     sum += weights[i];
   }
-  for (double& w : weights) w /= sum;
+  for (size_t i = 0; i < n; ++i) weights[i] /= sum;
   return m + gamma * std::log(sum);
+}
+
+// Vector form: `weights` is resized to xs.size().
+inline double smooth_max(std::span<const double> xs, double gamma,
+                         std::vector<double>& weights) {
+  weights.resize(xs.size());
+  return smooth_max(xs.data(), xs.size(), gamma, weights.data());
 }
 
 // Smooth min: -LSE(-x), written out (min-subtracted) so it needs no scratch

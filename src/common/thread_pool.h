@@ -40,6 +40,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -225,10 +226,27 @@ class ThreadPool {
              &body);
   }
 
-  // Global pool shared by the timer/placer kernels.
+  // Global pool shared by the timer/placer kernels.  Sized once, on first
+  // use, by DTP_THREADS (a worker count from 1 to kMaxEnvThreads); unset or
+  // any other value keeps hardware_concurrency.
   static ThreadPool& global() {
-    static ThreadPool pool;
+    static ThreadPool pool(threads_from_env(std::getenv("DTP_THREADS")));
     return pool;
+  }
+
+  // Parses a DTP_THREADS value: the worker count, or 0 (hardware
+  // concurrency) when `value` is null, empty, not a plain decimal number or
+  // outside [1, kMaxEnvThreads].
+  static constexpr size_t kMaxEnvThreads = 256;
+  static size_t threads_from_env(const char* value) {
+    if (value == nullptr || *value == '\0') return 0;
+    size_t n = 0;
+    for (const char* c = value; *c != '\0'; ++c) {
+      if (*c < '0' || *c > '9') return 0;
+      n = n * 10 + static_cast<size_t>(*c - '0');
+      if (n > kMaxEnvThreads) return 0;
+    }
+    return n;
   }
 
  private:

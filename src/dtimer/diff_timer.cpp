@@ -21,7 +21,6 @@ using netlist::NetId;
 using netlist::PinId;
 using sta::Arc;
 using sta::ArcCandidate;
-using sta::ArcKind;
 using sta::LevelStat;
 
 namespace {
@@ -201,10 +200,13 @@ void DiffTimer::backward(double t1, double t2, double h1, double h2,
   }
 
   // ---- step 3+4: reverse level sweep ----
+  // Streams the static per-slot records (wire source + arena node, driven
+  // net) and, for cell arcs, the candidates and softmax weights the forward
+  // sweep cached; the hold corner re-gathers against the early state.
   const double* slew = timer_.slew_data();
-  std::vector<double>& values = ws.values;
-  std::vector<double>& w_at = ws.w_at;
-  std::vector<double>& w_slew = ws.w_slew;
+  const auto level_offsets = graph.level_offsets();
+  const sta::TimingWorkspace::AdjointRecord* records = ws.adjoint.data();
+  using Fanin = sta::TimingWorkspace::Fanin;
 
   static obs::Histogram& bwd_level_hist =
       obs::MetricsRegistry::instance().histogram("dtimer.bwd_level_ms");
@@ -216,71 +218,60 @@ void DiffTimer::backward(double t1, double t2, double h1, double h2,
   for (int l = graph.num_levels() - 1; l >= 0; --l) {
     DTP_PROF_SCOPE(bwd_level_label(l));
     if (profile_levels_) level_clock.reset();
-    for (const PinId v : graph.level(l)) {
-      const auto fanin = graph.fanin(v);
-      if (!fanin.empty()) {
-        const Arc& first = graph.arcs()[static_cast<size_t>(fanin[0])];
-        if (first.kind == ArcKind::NetArc) {
-          // Eq. 10: single fan-in wire arc.
-          const size_t node =
-              static_cast<size_t>(ws.forest.node_offset(first.net)) +
-              static_cast<size_t>(first.sink_index);
-          for (int tr = 0; tr < 2; ++tr) {
-            const size_t vi = static_cast<size_t>(v) * 2 + static_cast<size_t>(tr);
-            const size_t ui =
-                static_cast<size_t>(first.from) * 2 + static_cast<size_t>(tr);
-            const double gat = ws.g_at[vi];
-            const double gslew = ws.g_slew[vi];
-            if (gat != 0.0) {
-              ws.g_at[ui] += gat;            // Eq. 10a
-              ws.g_net_delay[node] += gat;   // Eq. 10b (delay shared across tr)
-            }
-            if (gslew != 0.0 && std::isfinite(slew[vi]) && slew[vi] > 0.0) {
-              ws.g_slew[ui] += slew[ui] / slew[vi] * gslew;      // Eq. 10c
-              ws.g_net_imp2[node] += gslew / (2.0 * slew[vi]);   // Eq. 10d
-            }
+    const size_t level_end =
+        static_cast<size_t>(level_offsets[static_cast<size_t>(l) + 1]);
+    for (size_t i = static_cast<size_t>(level_offsets[static_cast<size_t>(l)]);
+         i < level_end; ++i) {
+      const sta::TimingWorkspace::AdjointRecord& rec = records[i];
+      const PinId v = rec.pin;
+      if (rec.kind == Fanin::Net) {
+        // Eq. 10: single fan-in wire arc.
+        const size_t node = static_cast<size_t>(rec.node);
+        for (int tr = 0; tr < 2; ++tr) {
+          const size_t vi = static_cast<size_t>(v) * 2 + static_cast<size_t>(tr);
+          const size_t ui =
+              static_cast<size_t>(rec.from) * 2 + static_cast<size_t>(tr);
+          const double gat = ws.g_at[vi];
+          const double gslew = ws.g_slew[vi];
+          if (gat != 0.0) {
+            ws.g_at[ui] += gat;            // Eq. 10a
+            ws.g_net_delay[node] += gat;   // Eq. 10b (delay shared across tr)
           }
-        } else {
-          // Eq. 12: cell arcs.  Candidates and LUT gradients come from the
-          // workspace cache the forward sweep recorded for this pin — the
-          // forward gathers read finalized lower-level state, so the cached
-          // entries are bitwise what a re-gather would produce.
-          const NetId out_net = graph.driven_timing_net(v);
-          for (int tr_out = 0; tr_out < 2; ++tr_out) {
-            const size_t vi =
-                static_cast<size_t>(v) * 2 + static_cast<size_t>(tr_out);
-            const double gat_out = ws.g_at[vi];
-            const double gslew_out = ws.g_slew[vi];
-            if (gat_out == 0.0 && gslew_out == 0.0) continue;
-            const ArcCandidate* cands = ws.cand_ptr(v, tr_out);
-            const int count =
-                ws.cand_count[static_cast<size_t>(v) * 2 +
-                              static_cast<size_t>(tr_out)];
-            if (count == 0) continue;
-            values.resize(static_cast<size_t>(count));
-            for (int k = 0; k < count; ++k)
-              values[static_cast<size_t>(k)] = cands[k].at_value;
-            smooth_max(values, timer_.options().gamma, w_at);
-            for (int k = 0; k < count; ++k)
-              values[static_cast<size_t>(k)] = cands[k].slew_q.value;
-            smooth_max(values, timer_.options().gamma, w_slew);
-
-            for (int k = 0; k < count; ++k) {
-              const ArcCandidate& c = cands[k];
-              const size_t ui = static_cast<size_t>(c.from) * 2 +
-                                static_cast<size_t>(c.tr_in);
-              const double g_at_cand = w_at[static_cast<size_t>(k)] * gat_out;  // Eq. 12a
-              const double g_delay_cand = g_at_cand;          // Eq. 12b
-              const double g_slew_cand =
-                  w_slew[static_cast<size_t>(k)] * gslew_out;  // Eq. 12c
-              ws.g_at[ui] += g_at_cand;
-              ws.g_slew[ui] += c.delay_q.d_dx * g_delay_cand +
-                               c.slew_q.d_dx * g_slew_cand;     // Eq. 12d
-              if (out_net != netlist::kInvalidId)
-                ws.g_load[static_cast<size_t>(out_net)] +=
-                    c.delay_q.d_dy * g_delay_cand +
-                    c.slew_q.d_dy * g_slew_cand;              // Eq. 12e
-            }
+          if (gslew != 0.0 && std::isfinite(slew[vi]) && slew[vi] > 0.0) {
+            ws.g_slew[ui] += slew[ui] / slew[vi] * gslew;      // Eq. 10c
+            ws.g_net_imp2[node] += gslew / (2.0 * slew[vi]);   // Eq. 10d
+          }
+        }
+      } else if (rec.kind == Fanin::Cell) {
+        // Eq. 12: cell arcs.  Candidates, LUT gradients and the AT/slew
+        // softmax weights are the ones the forward sweep cached for this pin.
+        const NetId out_net = rec.driven;
+        for (int tr_out = 0; tr_out < 2; ++tr_out) {
+          const size_t vi =
+              static_cast<size_t>(v) * 2 + static_cast<size_t>(tr_out);
+          const double gat_out = ws.g_at[vi];
+          const double gslew_out = ws.g_slew[vi];
+          if (gat_out == 0.0 && gslew_out == 0.0) continue;
+          const int count = ws.cand_count[vi];
+          if (count == 0) continue;
+          const size_t off = ws.cand_offset(v, tr_out);
+          const ArcCandidate* cands = ws.cand.data() + off;
+          const double* w_at = ws.cand_w_at.data() + off;
+          const double* w_slew = ws.cand_w_slew.data() + off;
+          for (int k = 0; k < count; ++k) {
+            const ArcCandidate& c = cands[k];
+            const size_t ui = static_cast<size_t>(c.from) * 2 +
+                              static_cast<size_t>(c.tr_in);
+            const double g_at_cand = w_at[k] * gat_out;       // Eq. 12a
+            const double g_delay_cand = g_at_cand;            // Eq. 12b
+            const double g_slew_cand = w_slew[k] * gslew_out; // Eq. 12c
+            ws.g_at[ui] += g_at_cand;
+            ws.g_slew[ui] += c.delay_q.d_dx * g_delay_cand +
+                             c.slew_q.d_dx * g_slew_cand;     // Eq. 12d
+            if (out_net != netlist::kInvalidId)
+              ws.g_load[static_cast<size_t>(out_net)] +=
+                  c.delay_q.d_dy * g_delay_cand +
+                  c.slew_q.d_dy * g_slew_cand;              // Eq. 12e
           }
         }
       }
@@ -289,69 +280,68 @@ void DiffTimer::backward(double t1, double t2, double h1, double h2,
       // softmin weights; same Elmore/load accumulators — the wire quantities
       // are shared between corners).  The cache holds the late candidates, so
       // the early corner re-gathers against the early state.
-      if (hold && !fanin.empty()) {
-        const double* at_e = ws.g_at_early.empty() ? nullptr : timer_.at_early_data();
+      if (hold && rec.kind == Fanin::Net) {
         const double* slew_e = timer_.slew_early_data();
-        const Arc& first = graph.arcs()[static_cast<size_t>(fanin[0])];
-        if (first.kind == ArcKind::NetArc) {
-          const size_t node =
-              static_cast<size_t>(ws.forest.node_offset(first.net)) +
-              static_cast<size_t>(first.sink_index);
-          for (int tr = 0; tr < 2; ++tr) {
-            const size_t vi = static_cast<size_t>(v) * 2 + static_cast<size_t>(tr);
-            const size_t ui =
-                static_cast<size_t>(first.from) * 2 + static_cast<size_t>(tr);
-            const double gat = ws.g_at_early[vi];
-            const double gslew = ws.g_slew_early[vi];
-            if (gat != 0.0) {
-              ws.g_at_early[ui] += gat;
-              ws.g_net_delay[node] += gat;
-            }
-            if (gslew != 0.0 && std::isfinite(slew_e[vi]) && slew_e[vi] > 0.0) {
-              ws.g_slew_early[ui] += slew_e[ui] / slew_e[vi] * gslew;
-              ws.g_net_imp2[node] += gslew / (2.0 * slew_e[vi]);
-            }
+        const size_t node = static_cast<size_t>(rec.node);
+        for (int tr = 0; tr < 2; ++tr) {
+          const size_t vi = static_cast<size_t>(v) * 2 + static_cast<size_t>(tr);
+          const size_t ui =
+              static_cast<size_t>(rec.from) * 2 + static_cast<size_t>(tr);
+          const double gat = ws.g_at_early[vi];
+          const double gslew = ws.g_slew_early[vi];
+          if (gat != 0.0) {
+            ws.g_at_early[ui] += gat;
+            ws.g_net_delay[node] += gat;
           }
-        } else {
-          const NetId out_net = graph.driven_timing_net(v);
-          const double load =
-              out_net == netlist::kInvalidId ? 0.0 : ws.net_root_load(out_net);
-          std::vector<ArcCandidate>& cands = ws.cands;
-          for (int tr_out = 0; tr_out < 2; ++tr_out) {
-            const size_t vi =
-                static_cast<size_t>(v) * 2 + static_cast<size_t>(tr_out);
-            const double gat_out = ws.g_at_early[vi];
-            const double gslew_out = ws.g_slew_early[vi];
-            if (gat_out == 0.0 && gslew_out == 0.0) continue;
-            cands.clear();
-            for (int ai : fanin) {
-              const Arc& arc = graph.arcs()[static_cast<size_t>(ai)];
-              gather_arc_candidates(graph.lib_arc(arc.lib_arc), arc.from,
-                                    tr_out, at_e, slew_e, load, cands);
-            }
-            if (cands.empty()) continue;
-            values.resize(cands.size());
-            for (size_t k = 0; k < cands.size(); ++k)
-              values[k] = cands[k].at_value;
-            smooth_min(values, timer_.options().gamma, w_at);
-            for (size_t k = 0; k < cands.size(); ++k)
-              values[k] = cands[k].slew_q.value;
-            smooth_min(values, timer_.options().gamma, w_slew);
-            for (size_t k = 0; k < cands.size(); ++k) {
-              const ArcCandidate& c = cands[k];
-              const size_t ui = static_cast<size_t>(c.from) * 2 +
-                                static_cast<size_t>(c.tr_in);
-              const double g_at_cand = w_at[k] * gat_out;
-              const double g_delay_cand = g_at_cand;
-              const double g_slew_cand = w_slew[k] * gslew_out;
-              ws.g_at_early[ui] += g_at_cand;
-              ws.g_slew_early[ui] += c.delay_q.d_dx * g_delay_cand +
-                                     c.slew_q.d_dx * g_slew_cand;
-              if (out_net != netlist::kInvalidId)
-                ws.g_load[static_cast<size_t>(out_net)] +=
-                    c.delay_q.d_dy * g_delay_cand +
-                    c.slew_q.d_dy * g_slew_cand;
-            }
+          if (gslew != 0.0 && std::isfinite(slew_e[vi]) && slew_e[vi] > 0.0) {
+            ws.g_slew_early[ui] += slew_e[ui] / slew_e[vi] * gslew;
+            ws.g_net_imp2[node] += gslew / (2.0 * slew_e[vi]);
+          }
+        }
+      } else if (hold && rec.kind == Fanin::Cell) {
+        const double* at_e = timer_.at_early_data();
+        const double* slew_e = timer_.slew_early_data();
+        const NetId out_net = rec.driven;
+        const double load =
+            out_net == netlist::kInvalidId ? 0.0 : ws.net_root_load(out_net);
+        std::vector<ArcCandidate>& cands = ws.cands;
+        std::vector<double>& values = ws.values;
+        std::vector<double>& w_at = ws.w_at;
+        std::vector<double>& w_slew = ws.w_slew;
+        for (int tr_out = 0; tr_out < 2; ++tr_out) {
+          const size_t vi =
+              static_cast<size_t>(v) * 2 + static_cast<size_t>(tr_out);
+          const double gat_out = ws.g_at_early[vi];
+          const double gslew_out = ws.g_slew_early[vi];
+          if (gat_out == 0.0 && gslew_out == 0.0) continue;
+          cands.clear();
+          for (int ai : graph.fanin(v)) {
+            const Arc& arc = graph.arcs()[static_cast<size_t>(ai)];
+            gather_arc_candidates(graph.lib_arc(arc.lib_arc), arc.from,
+                                  tr_out, at_e, slew_e, load, cands);
+          }
+          if (cands.empty()) continue;
+          values.resize(cands.size());
+          for (size_t k = 0; k < cands.size(); ++k)
+            values[k] = cands[k].at_value;
+          smooth_min(values, gamma, w_at);
+          for (size_t k = 0; k < cands.size(); ++k)
+            values[k] = cands[k].slew_q.value;
+          smooth_min(values, gamma, w_slew);
+          for (size_t k = 0; k < cands.size(); ++k) {
+            const ArcCandidate& c = cands[k];
+            const size_t ui = static_cast<size_t>(c.from) * 2 +
+                              static_cast<size_t>(c.tr_in);
+            const double g_at_cand = w_at[k] * gat_out;
+            const double g_delay_cand = g_at_cand;
+            const double g_slew_cand = w_slew[k] * gslew_out;
+            ws.g_at_early[ui] += g_at_cand;
+            ws.g_slew_early[ui] += c.delay_q.d_dx * g_delay_cand +
+                                   c.slew_q.d_dx * g_slew_cand;
+            if (out_net != netlist::kInvalidId)
+              ws.g_load[static_cast<size_t>(out_net)] +=
+                  c.delay_q.d_dy * g_delay_cand +
+                  c.slew_q.d_dy * g_slew_cand;
           }
         }
       }
@@ -359,7 +349,7 @@ void DiffTimer::backward(double t1, double t2, double h1, double h2,
       // If v drives a timing net, every adjoint seed of that net is now
       // final (sinks live at higher levels; the load adjoint was produced by
       // v's own fan-in arcs just above): run the Elmore adjoint.
-      const NetId driven = graph.driven_timing_net(v);
+      const NetId driven = rec.driven;
       if (driven != netlist::kInvalidId) {
         const sta::NetTimingView nt = ws.net_view(driven);
         const size_t m = nt.tree.num_nodes();
@@ -394,14 +384,13 @@ void DiffTimer::backward(double t1, double t2, double h1, double h2,
                           ws.el_gload},
             g_beta);
         // Fold node gradients onto pins: pin nodes directly, Steiner nodes via
-        // their coordinate source pins (paper Fig. 4).
-        const netlist::Net& net = nl.net(driven);
+        // their coordinate source pins (paper Fig. 4), resolved through the
+        // workspace's net-pin table.
+        const PinId* net_pins = ws.net_pins(driven).data();
         for (size_t node = 0; node < m; ++node) {
           const rsmt::SteinerNode& tn = nt.tree.nodes[node];
-          const size_t xp = static_cast<size_t>(
-              net.pins[static_cast<size_t>(tn.x_src)]);
-          const size_t yp = static_cast<size_t>(
-              net.pins[static_cast<size_t>(tn.y_src)]);
+          const size_t xp = static_cast<size_t>(net_pins[tn.x_src]);
+          const size_t yp = static_cast<size_t>(net_pins[tn.y_src]);
           ws.pin_gx[xp] += ws.scratch_gx[node];
           ws.pin_gy[yp] += ws.scratch_gy[node];
         }

@@ -23,12 +23,18 @@
 //
 // All backward state — adjoint arrays, per-net seed arenas, endpoint and
 // Elmore scratch — lives in the wrapped timer's TimingWorkspace (DESIGN.md
-// §10), shared with the forward pass.  The late-corner cell-arc step reuses
-// the candidate cache the forward sweep recorded (same candidates by
-// construction: forward gathers read finalized lower-level state), so no LUT
-// is re-evaluated on the setup path; the optional hold corner re-gathers
-// against the early arrays.  A steady-state forward (drag path) + backward
-// pair performs zero heap allocations (tests/test_zero_alloc.cpp).
+// §10), shared with the forward pass.  The sweep streams flat arrays built
+// once with the workspace: one adjoint record per level-schedule slot (wire
+// source pin and arena node, driven net) and a net-pin slot -> pin table for
+// the Steiner fold.  The late-corner cell-arc step reads the candidates and
+// the AT/slew softmax weights the forward sweep cached (same candidates by
+// construction: forward gathers read finalized lower-level state), so no LUT,
+// exp or log is evaluated on the setup path; the weights are those of the
+// last forward(), at that call's gamma.  The optional hold corner re-gathers
+// and recomputes its softmin weights against the early arrays.  A
+// steady-state forward (drag or rebuild) + backward pair performs zero heap
+// allocations (tests/test_zero_alloc.cpp); tests/test_flat_gradients.cpp
+// checks the gradients bitwise against the per-pin formulation.
 //
 // Between full Steiner reconstructions the forward pass only drags Steiner
 // points along their source pins (§3.6); forward() manages the rebuild period.

@@ -3,10 +3,11 @@
 // A cell arc contributes, per output transition, one candidate per compatible
 // input transition (decided by unateness).  The forward pass aggregates the
 // candidates' arrival times and slews (hard max/min or LSE) and records the
-// candidates in the workspace cache; the backward pass and the RAT sweep
-// reuse the cached candidates — identical by construction — instead of
-// re-running the LUT queries.  Keeping the enumeration in one helper
-// guarantees every consumer sees identical candidate sets.
+// candidates (and, in smooth mode, the LSE weights) in the workspace cache;
+// the backward pass and the RAT sweep reuse them — identical by
+// construction — instead of re-running the LUT queries.  Keeping the
+// enumeration in one helper guarantees every consumer sees identical
+// candidate sets.
 //
 // The liberty arc is passed resolved (the graph stores an index into its
 // liberty-arc table, not a pointer), so callers write
@@ -52,7 +53,8 @@ struct ArcCandidate {
 
 // Appends the candidates of one cell arc for output transition `tr_out` into
 // `out` starting at `out[count]`, advancing `count` (allocation-free; the
-// caller guarantees capacity >= count + 2).  `at` / `slew` are the
+// caller guarantees room for the arc's static candidate count, i.e. what
+// input_transitions() returns for its unateness).  `at` / `slew` are the
 // [pin*2 + tr] state arrays; `load` is the driven net's root load.
 // Candidates whose source AT is non-finite (unreachable pin) are skipped.
 inline void gather_arc_candidates(const liberty::TimingArc& lib, PinId from,

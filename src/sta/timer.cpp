@@ -54,6 +54,7 @@ Timer::Timer(const netlist::Design& design, const TimingGraph& graph,
     : design_(&design), graph_(&graph), options_(options) {
   const netlist::Netlist& nl = design.netlist;
   ws_ = std::make_unique<TimingWorkspace>(design, graph, options_.enable_early,
+                                          options_.mode == AggMode::Smooth,
                                           options_.rsmt,
                                           ThreadPool::global().num_slots());
 
@@ -356,8 +357,9 @@ bool Timer::update_pin(PinId v, bool early, size_t slot) {
 
   // Cell arcs: aggregate candidates per output transition (Eq. 11).  The late
   // corner writes its candidates into the workspace cache, where the backward
-  // pass and the RAT sweep re-read them; the early corner gathers into
-  // per-slot scratch.
+  // pass and the RAT sweep re-read them (in smooth mode the LSE writes its
+  // softmax weights there too, for the backward pass); the early corner
+  // gathers into per-slot scratch.
   // Live-stack-only label: per-pin, far too hot for the trace ring, but the
   // sampler sees worker threads inside the LUT-gather/aggregate section.
   DTP_PROF_SCOPE("lut_interp");
@@ -370,8 +372,10 @@ bool Timer::update_pin(PinId v, bool early, size_t slot) {
   for (int tr_out = 0; tr_out < 2; ++tr_out) {
     const ArcCandidate* cands = nullptr;
     int count = 0;
+    size_t cache_off = 0;
     if (!early) {
-      ArcCandidate* out = ws.cand_ptr(v, tr_out);
+      cache_off = ws.cand_offset(v, tr_out);
+      ArcCandidate* out = ws.cand.data() + cache_off;
       for (int ai : fanin) {
         const Arc& arc = graph_->arcs()[static_cast<size_t>(ai)];
         DTP_ASSERT(arc.kind == ArcKind::CellArc);
@@ -398,26 +402,27 @@ bool Timer::update_pin(PinId v, bool early, size_t slot) {
       continue;
     }
     // Arrival time aggregation.
-    values.resize(static_cast<size_t>(count));
-    for (int k = 0; k < count; ++k)
-      values[static_cast<size_t>(k)] = cands[k].at_value;
+    const size_t n = static_cast<size_t>(count);
+    values.resize(n);
+    for (size_t k = 0; k < n; ++k) values[k] = cands[k].at_value;
     double agg;
     if (early)
       agg = smooth ? smooth_min(values, gamma, weights)
                    : hard_min(values, weights);
     else
-      agg = smooth ? smooth_max(values, gamma, weights)
+      agg = smooth ? smooth_max(values.data(), n, gamma,
+                                ws.cand_w_at.data() + cache_off)
                    : hard_max(values, weights);
     store(vi, agg, at);
     // Slew aggregation (Eq. 11d): late takes the worst (max) slew, early the
     // best (min).
-    for (int k = 0; k < count; ++k)
-      values[static_cast<size_t>(k)] = cands[k].slew_q.value;
+    for (size_t k = 0; k < n; ++k) values[k] = cands[k].slew_q.value;
     if (early)
       agg = smooth ? smooth_min(values, gamma, weights)
                    : hard_min(values, weights);
     else
-      agg = smooth ? smooth_max(values, gamma, weights)
+      agg = smooth ? smooth_max(values.data(), n, gamma,
+                                ws.cand_w_slew.data() + cache_off)
                    : hard_max(values, weights);
     store(vi, agg, slew);
   }

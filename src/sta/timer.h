@@ -86,7 +86,6 @@ class Timer {
   const TimingGraph& graph() const { return *graph_; }
   const netlist::Design& design() const { return *design_; }
   const TimerOptions& options() const { return options_; }
-  void set_mode(AggMode mode) { options_.mode = mode; }
   void set_gamma(double gamma) { options_.gamma = gamma; }
 
   // ---- full evaluation convenience ----

@@ -20,6 +20,7 @@ double lookup_override(const std::unordered_map<std::string, double>& overrides,
 
 TimingWorkspace::TimingWorkspace(const netlist::Design& design,
                                  const TimingGraph& graph, bool enable_early,
+                                 bool smooth,
                                  const rsmt::RsmtOptions& rsmt_opts,
                                  size_t num_slots) {
   const netlist::Netlist& nl = design.netlist;
@@ -65,12 +66,15 @@ TimingWorkspace::TimingWorkspace(const netlist::Design& design,
   for (size_t n = 0; n < n_nets; ++n)
     pin_cap_offsets[n + 1] += pin_cap_offsets[n];
   pin_caps.assign(static_cast<size_t>(pin_cap_offsets[n_nets]), 0.0);
+  pin_ids.assign(pin_caps.size(), netlist::kInvalidId);
   for (NetId n : graph.timing_nets()) {
     const netlist::Net& net = nl.net(n);
-    double* caps = pin_caps.data() +
-                   static_cast<size_t>(pin_cap_offsets[static_cast<size_t>(n)]);
+    const size_t base =
+        static_cast<size_t>(pin_cap_offsets[static_cast<size_t>(n)]);
+    double* caps = pin_caps.data() + base;
     for (size_t k = 0; k < net.pins.size(); ++k) {
       const PinId p = net.pins[k];
+      pin_ids[base + k] = p;
       double cap = nl.pin_cap(p);
       const CellId c = nl.pin(p).cell;
       if (nl.lib_cell_of(c).kind == liberty::CellKind::PortOut)
@@ -92,7 +96,7 @@ TimingWorkspace::TimingWorkspace(const netlist::Design& design,
   src_at.assign(n_pins * 2, kNegInf);
   src_slew.assign(n_pins * 2, nl.library().default_slew);
 
-  // ---- candidate cache layout ----
+  // ---- candidate cache layout (static candidate count per transition) ----
   cand_base.assign(n_pins, -1);
   cand_tr_cap.assign(n_pins, 0);
   cand_count.assign(n_pins * 2, 0);
@@ -103,14 +107,45 @@ TimingWorkspace::TimingWorkspace(const netlist::Design& design,
     if (fanin.empty()) continue;
     if (graph.arcs()[static_cast<size_t>(fanin[0])].kind != ArcKind::CellArc)
       continue;
-    const size_t f = fanin.size();
-    max_fanin = std::max(max_fanin, f);
+    int per_tr = 0;
+    for (const int ai : fanin) {
+      int trs[2];
+      per_tr += input_transitions(
+          graph.lib_arc(graph.arcs()[static_cast<size_t>(ai)].lib_arc).unate,
+          kRise, trs);
+    }
+    max_fanin = std::max(max_fanin, fanin.size());
     cand_base[p] = static_cast<int>(cand_total);
-    cand_tr_cap[p] = static_cast<int>(2 * f);
-    cand_total += 4 * f;
+    cand_tr_cap[p] = per_tr;
+    cand_total += 2 * static_cast<size_t>(per_tr);
   }
   cand.resize(cand_total);
+  if (smooth) {
+    cand_w_at.assign(cand_total, 0.0);
+    cand_w_slew.assign(cand_total, 0.0);
+  }
+  // The vector-appending gather reserves two slots per arc before trimming.
   max_candidates_ = 2 * max_fanin;
+
+  // ---- static backward records ----
+  const auto schedule = graph.level_pins();
+  adjoint.resize(schedule.size());
+  for (size_t i = 0; i < schedule.size(); ++i) {
+    const PinId v = schedule[i];
+    AdjointRecord& r = adjoint[i];
+    r.pin = v;
+    r.driven = graph.driven_timing_net(v);
+    const auto fanin = graph.fanin(v);
+    if (fanin.empty()) continue;
+    const Arc& first = graph.arcs()[static_cast<size_t>(fanin[0])];
+    if (first.kind == ArcKind::NetArc) {
+      r.kind = Fanin::Net;
+      r.from = first.from;
+      r.node = forest.node_offset(first.net) + first.sink_index;
+    } else {
+      r.kind = Fanin::Cell;
+    }
+  }
 
   // ---- adjoint state ----
   g_at.assign(n_pins * 2, 0.0);

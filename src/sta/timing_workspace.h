@@ -14,8 +14,12 @@
 //   * per-pin sweep state [pin*2 + transition] — AT, slew, RAT and their
 //     adjoints, for both corners;
 //   * the cell-arc candidate cache — the forward sweep records each pin's
-//     gathered candidates (LUT queries included); the backward sweep and the
-//     RAT sweep reuse them instead of re-running lookup_grad;
+//     gathered candidates (LUT queries included) and, in smooth mode, their
+//     AT and slew softmax weights; the backward sweep and the RAT sweep reuse
+//     them instead of re-running lookup_grad and the LSE;
+//   * static backward records — one per level-schedule slot (fan-in kind,
+//     wire source and arena node, driven net) plus a net-pin slot -> pin
+//     table, so the adjoint sweep streams flat arrays;
 //   * per-slot and serial scratch — capacity-reserved vectors for the level
 //     kernels, slack aggregation, endpoint seeding and the Elmore adjoint.
 //
@@ -28,6 +32,7 @@
 // global allocator.  evaluate_incremental's worklist is outside the contract.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/vec2.h"
@@ -50,9 +55,10 @@ struct LevelScratch {
 
 class TimingWorkspace {
  public:
+  // `smooth` sizes the cached softmax weights of the candidate cache.
   TimingWorkspace(const netlist::Design& design, const TimingGraph& graph,
-                  bool enable_early, const rsmt::RsmtOptions& rsmt_opts,
-                  size_t num_slots);
+                  bool enable_early, bool smooth,
+                  const rsmt::RsmtOptions& rsmt_opts, size_t num_slots);
 
   // ---- Steiner forest + per-node net state arenas ----
   rsmt::SteinerForest forest;
@@ -94,6 +100,16 @@ class TimingWorkspace {
   }
   std::vector<int> pin_cap_offsets;  // size num_nets + 1
   std::vector<double> pin_caps;
+  // The pins themselves, same slots: a tree's pin nodes come first and in
+  // net-pin order, so net_pins(n)[x_src] resolves a Steiner node's source pin
+  // without touching Net::pins (the adjoint fold).
+  std::span<const PinId> net_pins(NetId n) const {
+    const size_t b = static_cast<size_t>(pin_cap_offsets[static_cast<size_t>(n)]);
+    const size_t e =
+        static_cast<size_t>(pin_cap_offsets[static_cast<size_t>(n) + 1]);
+    return {pin_ids.data() + b, e - b};
+  }
+  std::vector<PinId> pin_ids;
 
   // ---- per-pin forward state ----
   std::vector<Vec2> pin_pos;
@@ -104,19 +120,37 @@ class TimingWorkspace {
 
   // ---- cell-arc candidate cache (late corner) ----
   // For a pin with cell-arc fan-in, region (p, tr_out) holds the candidates
-  // the forward sweep gathered; capacity 2 per fan-in arc.
-  ArcCandidate* cand_ptr(PinId p, int tr_out) {
-    return cand.data() + static_cast<size_t>(cand_base[static_cast<size_t>(p)]) +
+  // the forward sweep gathered.  Its capacity is the pin's static candidate
+  // count: one per unate fan-in arc, two per non-unate one (the same for both
+  // output transitions).  A smooth-mode timer also keeps, slot for slot, the
+  // softmax weights of the AT and slew aggregations (cand_w_at / cand_w_slew;
+  // empty in hard mode).
+  size_t cand_offset(PinId p, int tr_out) const {
+    return static_cast<size_t>(cand_base[static_cast<size_t>(p)]) +
            static_cast<size_t>(tr_out) *
                static_cast<size_t>(cand_tr_cap[static_cast<size_t>(p)]);
   }
-  int cand_capacity(PinId p) const {
-    return cand_tr_cap[static_cast<size_t>(p)];
+  ArcCandidate* cand_ptr(PinId p, int tr_out) {
+    return cand.data() + cand_offset(p, tr_out);
   }
   std::vector<int> cand_base;    // per pin; -1 when no cell-arc fan-in
   std::vector<int> cand_tr_cap;  // per pin: capacity per transition
   std::vector<int> cand_count;   // [pin*2 + tr_out]: cached candidate count
   std::vector<ArcCandidate> cand;
+  std::vector<double> cand_w_at, cand_w_slew;  // smooth mode only
+
+  // ---- static backward records ----
+  // One record per slot of the level schedule (graph.level_pins() order), so
+  // the reverse sweep reads them in sequence.
+  enum class Fanin : uint8_t { None, Net, Cell };
+  struct AdjointRecord {
+    PinId pin = netlist::kInvalidId;
+    PinId from = netlist::kInvalidId;  // Net: the wire arc's driver pin
+    int node = -1;                     // Net: this sink's arena node
+    NetId driven = netlist::kInvalidId;  // timing net the pin drives
+    Fanin kind = Fanin::None;
+  };
+  std::vector<AdjointRecord> adjoint;
 
   // ---- adjoint state (backward pass) ----
   std::vector<double> g_at, g_slew;

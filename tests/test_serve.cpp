@@ -338,9 +338,10 @@ TEST(Soak, SixteenJobsWithFaultsAllReachTerminalStates) {
     s.time_budget_sec = 0.02;
     submit_ok(s);
   }
-  // 13: deadline so tight the watchdog fires -> TimedOut.
+  // 13: deadline so tight the watchdog fires -> TimedOut.  The design is
+  // large enough that GP cannot converge inside the deadline.
   {
-    JobSpec s = demo_spec(300, 100000, "wl", "erin");
+    JobSpec s = demo_spec(3000, 100000, "wl", "erin");
     s.deadline_sec = 0.05;
     submit_ok(s);
   }

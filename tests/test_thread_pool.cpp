@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <vector>
 
@@ -69,6 +70,27 @@ TEST(ThreadPool, GlobalPoolIsUsable) {
   std::atomic<int> count{0};
   ThreadPool::global().parallel_for(0, 50, [&](size_t) { ++count; }, 4);
   EXPECT_EQ(count.load(), 50);
+}
+
+TEST(ThreadPool, DtpThreadsParsing) {
+  // Only the parser is exercised here: no pool is built from these values.
+  EXPECT_EQ(ThreadPool::threads_from_env(nullptr), 0u);
+  EXPECT_EQ(ThreadPool::threads_from_env(""), 0u);
+  EXPECT_EQ(ThreadPool::threads_from_env("0"), 0u);
+  EXPECT_EQ(ThreadPool::threads_from_env("1"), 1u);
+  EXPECT_EQ(ThreadPool::threads_from_env("4"), 4u);
+  EXPECT_EQ(ThreadPool::threads_from_env("256"), 256u);
+  EXPECT_EQ(ThreadPool::threads_from_env("257"), 0u);
+  EXPECT_EQ(ThreadPool::threads_from_env("99999999999999999999999"), 0u);
+  EXPECT_EQ(ThreadPool::threads_from_env("-2"), 0u);
+  EXPECT_EQ(ThreadPool::threads_from_env("4x"), 0u);
+  EXPECT_EQ(ThreadPool::threads_from_env(" 4"), 0u);
+}
+
+TEST(ThreadPool, GlobalPoolFollowsDtpThreads) {
+  const size_t requested = ThreadPool::threads_from_env(std::getenv("DTP_THREADS"));
+  if (requested == 0) GTEST_SKIP() << "DTP_THREADS unset: hardware concurrency";
+  EXPECT_EQ(ThreadPool::global().num_threads(), requested);
 }
 
 }  // namespace

@@ -1,15 +1,15 @@
 // Zero-allocation contract of the steady-state timing hot loop (DESIGN.md
 // §10): once warmed up, a forward() — drag path or full Steiner rebuild —
 // plus backward() on the shared TimingWorkspace, and a hard-mode
-// Timer::evaluate(), must not touch the heap at all.  Enforced by replacing
+// Timer::evaluate(), must not touch the heap at all; neither may the WA
+// wirelength gradient and HPWL on the wirelength CSR plane.  Enforced by replacing
 // the global allocation functions with counting versions — any vector growth,
 // std::function capture, or temporary container in the hot loop fails the
 // test, keeping the contract honest under refactors.
 //
 // Excluded by design (and by this test): the first forward() (arena sizing),
 // evaluate_incremental's worklist, and one extra warm-up round for
-// lazily-initialized statics (metrics registration, thread_local smoothing
-// scratch).
+// lazily-initialized statics (metrics registration, trace statics).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +22,7 @@
 #include "obs/activity/activity_tracker.h"
 #include "obs/activity/churn_tracker.h"
 #include "obs/activity/slack_sketch.h"
+#include "placer/wirelength.h"
 #include "sta/timing_graph.h"
 #include "workload/circuit_gen.h"
 
@@ -238,6 +239,37 @@ TEST(ZeroAlloc, HoldCornerSteadyStateIsAllocationFree) {
   dt.backward(0.4, 0.3, 0.2, 0.1, gx, gy);
   const long after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0L);
+}
+
+TEST(ZeroAlloc, WirelengthSteadyStateIsAllocationFree) {
+  // The WA scratch is sized at construction: after one warm-up call (first-
+  // use statics: trace/metrics registration), value_and_gradient and both
+  // HPWL flavours never touch the heap.
+  const liberty::CellLibrary lib = liberty::make_synthetic_library();
+  workload::WorkloadOptions opts;
+  opts.num_cells = 400;
+  opts.seed = 17;
+  const netlist::Design design = workload::generate_design(lib, opts);
+  placer::WirelengthModel wl(design);
+  wl.set_gamma(1.0);
+
+  const size_t nc = design.netlist.num_cells();
+  std::vector<double> x(design.cell_x.begin(), design.cell_x.end());
+  std::vector<double> y(design.cell_y.begin(), design.cell_y.end());
+  std::vector<double> gx(nc, 0.0), gy(nc, 0.0);
+  wl.value_and_gradient(x, y, gx, gy);
+  double sink = wl.hpwl(x, y) + wl.hpwl_unweighted(x, y);
+
+  for (int round = 1; round <= 3; ++round) {
+    nudge(design, x, y, round);
+    const long before = g_alloc_count.load(std::memory_order_relaxed);
+    sink += wl.value_and_gradient(x, y, gx, gy);
+    sink += wl.hpwl(x, y) + wl.hpwl_unweighted(x, y);
+    const long after = g_alloc_count.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0L) << "heap allocation in wirelength round "
+                                  << round;
+  }
+  EXPECT_GT(sink, 0.0);
 }
 
 }  // namespace
