@@ -5,6 +5,7 @@
 // efficiency from exactly these kernels (there as CUDA launches).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -60,12 +61,26 @@ void BM_SmoothMax(benchmark::State& state) {
 }
 BENCHMARK(BM_SmoothMax)->Arg(2)->Arg(8)->Arg(64);
 
+// The path Timer::build_trees runs: pins staged into one reused RsmtScratch,
+// the tree written into preallocated node/topo buffers (no allocation).
 void BM_RsmtBuild(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(3);
   std::vector<Vec2> pins(static_cast<size_t>(n));
   for (auto& p : pins) p = {rng.uniform(0, 200), rng.uniform(0, 200)};
-  for (auto _ : state) benchmark::DoNotOptimize(rsmt::build_rsmt(pins, 0));
+  const rsmt::RsmtOptions opts;
+  rsmt::RsmtScratch scratch(pins.size(), opts);
+  const size_t cap =
+      static_cast<size_t>(rsmt::max_tree_nodes(pins.size(), opts));
+  std::vector<rsmt::SteinerNode> nodes(cap);
+  std::vector<int> topo(cap);
+  for (auto _ : state) {
+    std::copy(pins.begin(), pins.end(), scratch.pts.begin());
+    benchmark::DoNotOptimize(
+        rsmt::build_rsmt_into(scratch, n, 0, opts, nodes, topo));
+    benchmark::DoNotOptimize(nodes.data());
+    benchmark::ClobberMemory();
+  }
 }
 BENCHMARK(BM_RsmtBuild)->Arg(2)->Arg(3)->Arg(6)->Arg(12);
 

@@ -1,11 +1,10 @@
 // Iterative radix-2 complex FFT plan — the primitive under the kernel-layer
 // half-sample transforms (DESIGN.md §15).
 //
-// Moved here from src/placer/fft.h when the kernel-backend seam was
-// introduced: nothing outside src/kernels/ may call Fft directly any more;
-// the placer reaches the spectral kernels through KernelBackend.  The plan
-// operates on caller-owned re/im arrays so backends can reuse preallocated
-// scratch (the zero-steady-state-allocation contract, DESIGN.md §10).
+// Nothing outside src/kernels/ calls Fft directly; the placer reaches the
+// spectral kernels through kernels.h.  The plan operates on caller-owned
+// re/im arrays so the row kernels can reuse preallocated scratch (the
+// zero-steady-state-allocation contract, DESIGN.md §10).
 #pragma once
 
 #include <cstddef>

@@ -31,10 +31,9 @@
 //    plus strictly in-cache scratch.
 //
 // The plan holds tables + preallocated scratch; the row kernels themselves
-// live in kernel_impl.h and are compiled per backend (scalar / simd), so a
-// plan is shared across backends.  Scratch makes row kernels non-reentrant
-// per plan — matching PoissonSolver's "solve() is not concurrency-safe on
-// one instance" contract.
+// are dct2_rows / idct_rows / idst_rows in kernels.h.  Scratch makes row
+// kernels non-reentrant per plan — matching PoissonSolver's "solve() is not
+// concurrency-safe on one instance" contract.
 #pragma once
 
 #include <cstddef>
@@ -65,7 +64,7 @@ class HalfSampleDirect {
 
 // Real-to-complex half-sample transform plan (power-of-two m >= 2): twiddle
 // tables + the size-m/2 complex FFT + scratch.  Row kernels are free
-// functions in kernel_impl.h, instantiated inside each backend.
+// functions in kernels.h.
 class DctPlan {
  public:
   explicit DctPlan(size_t m);  // m must be a power of two, >= 2

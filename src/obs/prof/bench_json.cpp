@@ -159,8 +159,6 @@ std::string bench_json(const BenchSuiteResult& suite) {
   w.key("threads").value(static_cast<uint64_t>(suite.threads));
   if (!suite.commit.empty()) w.key("commit").value(suite.commit);
   if (!suite.label.empty()) w.key("label").value(suite.label);
-  if (!suite.kernel_backend.empty())
-    w.key("kernel_backend").value(suite.kernel_backend);
   w.key("counters");
   w.begin_object();
   w.key("available").value(suite.counter_probe.available);
@@ -198,8 +196,6 @@ std::string bench_history_line(const JsonValue& doc) {
   if (!commit.empty()) w.key("commit").value(commit);
   const std::string label = doc.str_or("label", "");
   if (!label.empty()) w.key("label").value(label);
-  const std::string kernel_backend = doc.str_or("kernel_backend", "");
-  if (!kernel_backend.empty()) w.key("kernel_backend").value(kernel_backend);
   w.key("threads")
       .value(static_cast<uint64_t>(doc.num_or("threads", 0.0)));
   bool counters_available = false;
@@ -286,9 +282,9 @@ int bench_diff(const JsonValue& a, const JsonValue& b,
     return 1;
 
   if (out != nullptr) {
-    // Provenance sanity: numbers taken under different thread counts or
-    // kernel backends (or from different commits than claimed) are not an
-    // apples-to-apples comparison.  Warn, then diff anyway.
+    // Provenance sanity: numbers taken under different thread counts (or
+    // from different commits than claimed) are not an apples-to-apples
+    // comparison.  Warn, then diff anyway.
     const double threads_a = a.num_or("threads", 0.0);
     const double threads_b = b.num_or("threads", 0.0);
     if (threads_a > 0.0 && threads_b > 0.0 && threads_a != threads_b)
@@ -296,13 +292,6 @@ int bench_diff(const JsonValue& a, const JsonValue& b,
                    "bench-diff: WARNING: thread counts differ (old %g, new "
                    "%g); timings are not comparable\n",
                    threads_a, threads_b);
-    const std::string kb_a = a.str_or("kernel_backend", "");
-    const std::string kb_b = b.str_or("kernel_backend", "");
-    if (!kb_a.empty() && !kb_b.empty() && kb_a != kb_b)
-      std::fprintf(out,
-                   "bench-diff: WARNING: kernel backends differ (old %s, new "
-                   "%s); timings reflect different kernels\n",
-                   kb_a.c_str(), kb_b.c_str());
     const std::string commit_a = a.str_or("commit", "");
     const std::string commit_b = b.str_or("commit", "");
     if (!commit_a.empty() && !commit_b.empty() && commit_a != commit_b)

@@ -89,9 +89,6 @@ struct BenchSuiteResult {
   // comparable, attributable trajectory.
   std::string commit;
   std::string label;
-  // Kernel backend the run used ("scalar"/"simd", see kernels/): numbers from
-  // different backends are not comparable, so bench_diff warns on mismatch.
-  std::string kernel_backend;
   CounterSample counter_probe;  // availability probe recorded in the header
   std::vector<BenchCell> cells;
 };
@@ -112,8 +109,8 @@ bool write_bench_json(const std::string& path, const BenchSuiteResult& suite);
 //
 // Returns 0 (ok), 1 (malformed input), or 2 (regression).  A human-readable
 // table is printed to `out` (pass nullptr to suppress).  Provenance
-// disagreements between the two documents (threads, commit, kernel_backend)
-// are warned about before the table — an apples-to-oranges diff still runs,
+// disagreements between the two documents (threads, commit) are warned
+// about before the table — an apples-to-oranges diff still runs,
 // but the caller is told the numbers may not be comparable.
 struct BenchDiffOptions {
   double threshold = 0.15;     // relative wall/CPU-time regression gate

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/assert.h"
-#include "kernels/kernel_backend.h"
 #include "obs/trace.h"
 
 namespace dtp::placer {
@@ -64,8 +63,8 @@ DensityStats DensityModel::update(std::span<const double> x,
                                   std::span<const double> y) {
   DTP_TRACE_SCOPE("density_update");
   std::fill(rho_.begin(), rho_.end(), 0.0);
-  kernels::backend().density_scatter(grid_view(), cells_view(), x.data(),
-                                     y.data(), rho_.data());
+  kernels::density_scatter(grid_view(), cells_view(), x.data(), y.data(),
+                           rho_.data());
 
   {
     DTP_TRACE_SCOPE("poisson_solve");
@@ -89,9 +88,9 @@ void DensityModel::add_gradient(std::span<const double> x,
                                 std::span<const double> y, double lambda,
                                 std::span<double> gx, std::span<double> gy) const {
   DTP_TRACE_SCOPE("density_grad");
-  kernels::backend().density_gather(grid_view(), cells_view(), x.data(),
-                                    y.data(), field_x_.data(), field_y_.data(),
-                                    lambda, gx.data(), gy.data());
+  kernels::density_gather(grid_view(), cells_view(), x.data(), y.data(),
+                          field_x_.data(), field_y_.data(), lambda, gx.data(),
+                          gy.data());
 }
 
 }  // namespace dtp::placer

@@ -16,7 +16,7 @@
 #include <span>
 #include <vector>
 
-#include "kernels/kernel_backend.h"
+#include "kernels/kernels.h"
 #include "netlist/netlist.h"
 #include "placer/poisson.h"
 
@@ -53,8 +53,8 @@ class DensityModel {
   const std::vector<double>& potential() const { return psi_; }
 
  private:
-  // Borrowed views handed to the kernel backend's scatter/gather entry
-  // points (which own the footprint-inflation math, see kernel_impl.h).
+  // Borrowed views handed to the kernel layer's scatter/gather functions
+  // (which own the footprint-inflation math, see kernels.cpp).
   kernels::DensityGrid grid_view() const;
   kernels::DensityCells cells_view() const;
 

@@ -5,8 +5,7 @@
 
 #include "common/assert.h"
 #include "common/logger.h"
-#include "kernels/kernel_backend.h"
-#include "kernels/transform.h"
+#include "kernels/kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -18,7 +17,7 @@ constexpr double kPi = 3.14159265358979323846;
 void transpose(int m, const std::vector<double>& src, std::vector<double>& dst) {
   DTP_TRACE_SCOPE("pois_transpose");
   dst.resize(src.size());
-  kernels::backend().transpose(static_cast<size_t>(m), src.data(), dst.data());
+  kernels::transpose(static_cast<size_t>(m), src.data(), dst.data());
 }
 
 // Fused twiddle+transpose: dst[j][i] = src[i][j] * row_scale[i].
@@ -27,8 +26,8 @@ void transpose_scaled(int m, const std::vector<double>& src,
                       std::vector<double>& dst) {
   DTP_TRACE_SCOPE("pois_transpose");
   dst.resize(src.size());
-  kernels::backend().transpose_scaled(static_cast<size_t>(m), src.data(),
-                                      row_scale.data(), dst.data());
+  kernels::transpose_scaled(static_cast<size_t>(m), src.data(),
+                            row_scale.data(), dst.data());
 }
 
 }  // namespace
@@ -84,7 +83,6 @@ void PoissonSolver::solve(const std::vector<double>& rho, std::vector<double>& p
   auto& b = im.b;
   auto& coef = im.coef;
   auto& tmp2 = im.tmp2;
-  const kernels::KernelBackend& kb = kernels::backend();
   const size_t um = static_cast<size_t>(m);
 
   if (im.direct != nullptr) {
@@ -111,7 +109,7 @@ void PoissonSolver::solve(const std::vector<double>& rho, std::vector<double>& p
   {
     DTP_TRACE_SCOPE("pois_dct_rows");
     if (plan != nullptr) {
-      kb.dct2_rows(*plan, a.data(), b.data(), um);  // b[y][u]
+      kernels::dct2_rows(*plan, a.data(), b.data(), um);  // b[y][u]
     } else {
       for (int y = 0; y < m; ++y)
         direct->dct2(a.data() + static_cast<size_t>(y) * m,
@@ -122,7 +120,7 @@ void PoissonSolver::solve(const std::vector<double>& rho, std::vector<double>& p
   {
     DTP_TRACE_SCOPE("pois_dct_cols");
     if (plan != nullptr) {
-      kb.dct2_rows(*plan, a.data(), coef.data(), um);  // coef[u][v]
+      kernels::dct2_rows(*plan, a.data(), coef.data(), um);  // coef[u][v]
     } else {
       for (int u = 0; u < m; ++u)
         direct->dct2(a.data() + static_cast<size_t>(u) * m,
@@ -151,7 +149,7 @@ void PoissonSolver::solve(const std::vector<double>& rho, std::vector<double>& p
   {
     DTP_TRACE_SCOPE("pois_idct_rows");
     if (plan != nullptr) {
-      kb.idct_rows(*plan, coef.data(), tmp2.data(), um);
+      kernels::idct_rows(*plan, coef.data(), tmp2.data(), um);
     } else {
       for (int u = 0; u < m; ++u)
         direct->eval_cos(coef.data() + static_cast<size_t>(u) * m,
@@ -164,7 +162,7 @@ void PoissonSolver::solve(const std::vector<double>& rho, std::vector<double>& p
   {
     DTP_TRACE_SCOPE("pois_idct_cols");
     if (plan != nullptr) {
-      kb.idct_rows(*plan, a.data(), b.data(), um);  // b[y][x]
+      kernels::idct_rows(*plan, a.data(), b.data(), um);  // b[y][x]
     } else {
       for (int y = 0; y < m; ++y)
         direct->eval_cos(a.data() + static_cast<size_t>(y) * m,
@@ -179,7 +177,7 @@ void PoissonSolver::solve(const std::vector<double>& rho, std::vector<double>& p
     DTP_TRACE_SCOPE("pois_idst_fieldx");
     transpose_scaled(m, tmp2, im.kx, a);  // a[y][u] = k_u tmp2[u][y]
     if (plan != nullptr) {
-      kb.idst_rows(*plan, a.data(), nullptr, b.data(), um);  // b[y][x]
+      kernels::idst_rows(*plan, a.data(), nullptr, b.data(), um);  // b[y][x]
     } else {
       for (int y = 0; y < m; ++y)
         direct->eval_sin(a.data() + static_cast<size_t>(y) * m,
@@ -193,7 +191,8 @@ void PoissonSolver::solve(const std::vector<double>& rho, std::vector<double>& p
   {
     DTP_TRACE_SCOPE("pois_idst_fieldy");
     if (plan != nullptr) {
-      kb.idst_rows(*plan, coef.data(), im.ky.data(), b.data(), um);  // b[u][y]
+      kernels::idst_rows(*plan, coef.data(), im.ky.data(), b.data(),
+                         um);  // b[u][y]
     } else {
       for (int u = 0; u < m; ++u) {
         for (int v = 0; v < m; ++v)
@@ -206,7 +205,7 @@ void PoissonSolver::solve(const std::vector<double>& rho, std::vector<double>& p
     transpose(m, b, a);  // a[y][u]
     {
       if (plan != nullptr) {
-        kb.idct_rows(*plan, a.data(), b.data(), um);  // b[y][x]
+        kernels::idct_rows(*plan, a.data(), b.data(), um);  // b[y][x]
       } else {
         for (int y = 0; y < m; ++y)
           direct->eval_cos(a.data() + static_cast<size_t>(y) * m,

@@ -13,11 +13,11 @@
 //
 // For power-of-two grids every transform row runs as ONE size-m/2 complex
 // FFT of the packed real sequence (kernels::DctPlan, arXiv 2510.21547) —
-// roughly 4x fewer butterflies than the size-2m complex FFT this solver
-// used before the kernel-backend seam; other sizes fall back to direct
-// O(m^3) cosine/sine sums (kernels::HalfSampleDirect, also the test oracle)
-// with a one-time warning and the `placer.poisson.slow_path` counter.  All
-// hot loops dispatch through kernels::backend().
+// roughly 4x fewer butterflies than a size-2m complex FFT per row; other
+// sizes fall back to direct O(m^3) cosine/sine sums
+// (kernels::HalfSampleDirect, also the test oracle) with a one-time warning
+// and the `placer.poisson.slow_path` counter.  All hot loops are kernel-layer
+// calls (kernels/kernels.h).
 #pragma once
 
 #include <memory>

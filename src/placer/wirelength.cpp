@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/assert.h"
-#include "kernels/kernel_backend.h"
+#include "kernels/kernels.h"
 #include "obs/trace.h"
 
 namespace dtp::placer {
@@ -90,7 +90,6 @@ double WirelengthModel::value_and_gradient(std::span<const double> x,
                                            std::span<double> gx,
                                            std::span<double> gy) const {
   DTP_TRACE_SCOPE("wirelength_grad");
-  const kernels::KernelBackend& kb = kernels::backend();
   double total = 0.0;
   for (size_t k = 0; k < nets_.size(); ++k) {
     const size_t begin = static_cast<size_t>(net_begin_[k]);
@@ -102,10 +101,10 @@ double WirelengthModel::value_and_gradient(std::span<const double> x,
       px_[i] = x[static_cast<size_t>(pins[i].cell)] + off.x;
       py_[i] = y[static_cast<size_t>(pins[i].cell)] + off.y;
     }
-    total += w * kb.wa_axis(px_.data(), deg, gamma_, dgx_.data(), ep_.data(),
-                            em_.data());
-    total += w * kb.wa_axis(py_.data(), deg, gamma_, dgy_.data(), ep_.data(),
-                            em_.data());
+    total += w * kernels::wa_axis(px_.data(), deg, gamma_, dgx_.data(),
+                                  ep_.data(), em_.data());
+    total += w * kernels::wa_axis(py_.data(), deg, gamma_, dgy_.data(),
+                                  ep_.data(), em_.data());
     for (size_t i = 0; i < deg; ++i) {
       gx[static_cast<size_t>(pins[i].cell)] += w * dgx_[i];
       gy[static_cast<size_t>(pins[i].cell)] += w * dgy_[i];

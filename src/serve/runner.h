@@ -10,11 +10,15 @@
 //     graceful-degradation watchdog (timing cut at 70%, early stop with a
 //     valid placement at 100%);
 //   * bounded retry with backoff — a run whose recovery budget is exhausted
-//     (health == Failed) is restarted from scratch up to spec.max_retries
-//     times, with exponential backoff between attempts;
+//     (health == Failed) is run again up to spec.max_retries times, with
+//     exponential backoff between attempts.  A retry is not a fresh start:
+//     the design is built once per job and GlobalPlacer moves its cells in
+//     place, so each attempt begins at the positions the failed one left,
+//     under the same fault spec and fault seed;
 //   * degradation before giving up — when retries are spent, one final
-//     attempt runs in wirelength-only mode (timing faults cannot reach it);
-//     only if that also fails is the job Failed;
+//     attempt runs in wirelength-only mode (timing faults cannot reach it),
+//     again from the last attempt's positions; only if that also fails is
+//     the job Failed;
 //   * checkpointed pause — a Paused exit seals the optimizer state into the
 //     job's checkpoint, so the manager can requeue and later resume exactly
 //     where the run stopped.

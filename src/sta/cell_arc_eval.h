@@ -17,7 +17,6 @@
 #include <cmath>
 #include <vector>
 
-#include "kernels/kernel_backend.h"
 #include "liberty/lut.h"
 #include "sta/timing_graph.h"
 
@@ -64,7 +63,6 @@ inline void gather_arc_candidates(const liberty::TimingArc& lib, PinId from,
   const liberty::Lut& delay_lut = (tr_out == kRise) ? lib.cell_rise : lib.cell_fall;
   const liberty::Lut& slew_lut =
       (tr_out == kRise) ? lib.rise_transition : lib.fall_transition;
-  const kernels::KernelBackend& kb = kernels::backend();
   int trs[2];
   const int n = input_transitions(lib.unate, tr_out, trs);
   for (int k = 0; k < n; ++k) {
@@ -75,8 +73,8 @@ inline void gather_arc_candidates(const liberty::TimingArc& lib, PinId from,
     ArcCandidate& cand = out[count++];
     cand.from = from;
     cand.tr_in = tr_in;
-    kb.lut_pair(delay_lut, slew_lut, slew[idx], load, cand.delay_q,
-                cand.slew_q);
+    cand.delay_q = delay_lut.lookup_grad(slew[idx], load);
+    cand.slew_q = slew_lut.lookup_grad(slew[idx], load);
     cand.at_value = at_u + cand.delay_q.value;
   }
 }

@@ -10,8 +10,7 @@
 
 #include "common/rng.h"
 #include "kernels/fft.h"
-#include "kernels/kernel_backend.h"
-#include "kernels/transform.h"
+#include "kernels/kernels.h"
 #include "placer/poisson.h"
 
 namespace dtp::kernels {
@@ -67,7 +66,7 @@ TEST_P(FftSizes, MatchesNaiveDft) {
 INSTANTIATE_TEST_SUITE_P(PowersOfTwo, FftSizes,
                          ::testing::Values(1, 2, 4, 8, 16, 64, 256));
 
-// ---- DctPlan fast path vs the direct oracle, every registered backend ----
+// ---- DctPlan fast path vs the direct oracle --------------------------------
 
 class PlanSizes : public ::testing::TestWithParam<int> {};
 
@@ -79,29 +78,25 @@ TEST_P(PlanSizes, FastRowsMatchDirectSums) {
   std::vector<double> in(m), fast(m), ref(m), scale(m), pre(m);
   for (size_t u = 0; u < m; ++u) scale[u] = 0.25 + 0.03 * static_cast<double>(u);
 
-  for (const std::string& name : backend_names()) {
-    const KernelBackend* kb = find_backend(name);
-    ASSERT_NE(kb, nullptr);
-    for (auto& x : in) x = rng.uniform(-2, 2);
+  for (auto& x : in) x = rng.uniform(-2, 2);
 
-    kb->dct2_rows(plan, in.data(), fast.data(), 1);
-    oracle.dct2(in.data(), ref.data());
-    for (size_t i = 0; i < m; ++i) EXPECT_NEAR(fast[i], ref[i], 1e-9 * m) << name;
+  dct2_rows(plan, in.data(), fast.data(), 1);
+  oracle.dct2(in.data(), ref.data());
+  for (size_t i = 0; i < m; ++i) EXPECT_NEAR(fast[i], ref[i], 1e-9 * m);
 
-    kb->idct_rows(plan, in.data(), fast.data(), 1);
-    oracle.eval_cos(in.data(), ref.data());
-    for (size_t i = 0; i < m; ++i) EXPECT_NEAR(fast[i], ref[i], 1e-9 * m) << name;
+  idct_rows(plan, in.data(), fast.data(), 1);
+  oracle.eval_cos(in.data(), ref.data());
+  for (size_t i = 0; i < m; ++i) EXPECT_NEAR(fast[i], ref[i], 1e-9 * m);
 
-    kb->idst_rows(plan, in.data(), nullptr, fast.data(), 1);
-    oracle.eval_sin(in.data(), ref.data());
-    for (size_t i = 0; i < m; ++i) EXPECT_NEAR(fast[i], ref[i], 1e-9 * m) << name;
+  idst_rows(plan, in.data(), nullptr, fast.data(), 1);
+  oracle.eval_sin(in.data(), ref.data());
+  for (size_t i = 0; i < m; ++i) EXPECT_NEAR(fast[i], ref[i], 1e-9 * m);
 
-    // Fused column scaling == explicit pre-scale then sine synthesis.
-    kb->idst_rows(plan, in.data(), scale.data(), fast.data(), 1);
-    for (size_t u = 0; u < m; ++u) pre[u] = in[u] * scale[u];
-    oracle.eval_sin(pre.data(), ref.data());
-    for (size_t i = 0; i < m; ++i) EXPECT_NEAR(fast[i], ref[i], 1e-9 * m) << name;
-  }
+  // Fused column scaling == explicit pre-scale then sine synthesis.
+  idst_rows(plan, in.data(), scale.data(), fast.data(), 1);
+  for (size_t u = 0; u < m; ++u) pre[u] = in[u] * scale[u];
+  oracle.eval_sin(pre.data(), ref.data());
+  for (size_t i = 0; i < m; ++i) EXPECT_NEAR(fast[i], ref[i], 1e-9 * m);
 }
 
 INSTANTIATE_TEST_SUITE_P(PowersOfTwo, PlanSizes,
@@ -131,10 +126,9 @@ TEST_P(PropertySizes, Dct2ThenEvalCosRoundTrips) {
 
   if (is_power_of_two(m)) {
     DctPlan plan(m);
-    const KernelBackend& kb = backend();
-    kb.dct2_rows(plan, x.data(), coef.data(), 1);
+    dct2_rows(plan, x.data(), coef.data(), 1);
     alpha_scale(coef);
-    kb.idct_rows(plan, coef.data(), back.data(), 1);
+    idct_rows(plan, coef.data(), back.data(), 1);
     for (size_t i = 0; i < m; ++i) EXPECT_NEAR(back[i], x[i], 1e-9);
   }
 }
@@ -161,7 +155,7 @@ TEST_P(PropertySizes, Dct2SatisfiesParseval) {
 
   if (is_power_of_two(m)) {
     DctPlan plan(m);
-    backend().dct2_rows(plan, x.data(), coef.data(), 1);
+    dct2_rows(plan, x.data(), coef.data(), 1);
     EXPECT_NEAR(spectral_energy(coef), time_e, 1e-9 * m);
   }
 }
@@ -179,10 +173,9 @@ TEST_P(PropertySizes, Dct2IsLinear) {
   }
   if (is_power_of_two(m)) {
     DctPlan plan(m);
-    const KernelBackend& kb = backend();
-    kb.dct2_rows(plan, x.data(), tx.data(), 1);
-    kb.dct2_rows(plan, y.data(), ty.data(), 1);
-    kb.dct2_rows(plan, mix.data(), tmix.data(), 1);
+    dct2_rows(plan, x.data(), tx.data(), 1);
+    dct2_rows(plan, y.data(), ty.data(), 1);
+    dct2_rows(plan, mix.data(), tmix.data(), 1);
   } else {
     HalfSampleDirect oracle(m);
     oracle.dct2(x.data(), tx.data());

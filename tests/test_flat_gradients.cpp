@@ -20,7 +20,7 @@
 #include "common/smooth_math.h"
 #include "dtimer/diff_timer.h"
 #include "dtimer/elmore_grad.h"
-#include "kernels/kernel_backend.h"
+#include "kernels/kernels.h"
 #include "liberty/synth_library.h"
 #include "placer/wirelength.h"
 #include "sta/cell_arc_eval.h"
@@ -331,7 +331,6 @@ double wa_value_and_gradient(const netlist::Netlist& nl,
                              std::span<const double> weights, double gamma,
                              std::span<const double> x, std::span<const double> y,
                              std::span<double> gx, std::span<double> gy) {
-  const kernels::KernelBackend& kb = kernels::backend();
   double total = 0.0;
   std::vector<double> px, py, dgx, dgy, ep, em;
   for (NetId n : nets) {
@@ -347,10 +346,10 @@ double wa_value_and_gradient(const netlist::Netlist& nl,
       px[i] = x[static_cast<size_t>(c)] + off.x;
       py[i] = y[static_cast<size_t>(c)] + off.y;
     }
-    total += w * kb.wa_axis(px.data(), deg, gamma, dgx.data(), ep.data(),
-                            em.data());
-    total += w * kb.wa_axis(py.data(), deg, gamma, dgy.data(), ep.data(),
-                            em.data());
+    total += w * kernels::wa_axis(px.data(), deg, gamma, dgx.data(), ep.data(),
+                                  em.data());
+    total += w * kernels::wa_axis(py.data(), deg, gamma, dgy.data(), ep.data(),
+                                  em.data());
     for (size_t i = 0; i < deg; ++i) {
       const CellId c = nl.pin(net.pins[i]).cell;
       gx[static_cast<size_t>(c)] += w * dgx[i];

@@ -10,11 +10,8 @@
 // If a future change intentionally alters numerics, re-capture: run this
 // exact flow on the trusted implementation and paste the new constants.
 //
-// The placement-run constants are pinned to the `scalar` kernel backend
-// (kernels::set_backend below): scalar is the bitwise-golden contract, while
-// the simd backend is only tolerance-equivalent (test_kernel_backend).  The
-// placer-run constants were re-captured when the Poisson transforms moved to
-// the real-to-complex DctPlan fast path — same placement, last-ulp shifts.
+// The placer-run constants were re-captured when the Poisson transforms moved
+// to the real-to-complex DctPlan fast path — same placement, last-ulp shifts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,7 +19,6 @@
 #include <vector>
 
 #include "dtimer/diff_timer.h"
-#include "kernels/kernel_backend.h"
 #include "liberty/synth_library.h"
 #include "obs/introspect/introspect.h"
 #include "placer/global_placer.h"
@@ -106,7 +102,6 @@ TEST(GoldenPlane, SeedMetricsAndGradientsBitwiseIdentical) {
 TEST(GoldenPlane, PlacerRunBitwiseIdentical) {
   // End-to-end: a short timing-driven placement run must land on the exact
   // same placement (HPWL and post-place timing) as the captured run.
-  ASSERT_TRUE(kernels::set_backend("scalar"));
   liberty::CellLibrary lib = liberty::make_synthetic_library();
   workload::WorkloadOptions wopts;
   wopts.seed = 7;
@@ -134,7 +129,6 @@ TEST(GoldenPlane, PlacerRunBitwiseIdenticalWithActivityTracking) {
   // The activity layer is a pure observer: the exact same run with the
   // tracker attached and activity records streaming must land on the
   // identical placement and timing, bit for bit (same constants as above).
-  ASSERT_TRUE(kernels::set_backend("scalar"));
   liberty::CellLibrary lib = liberty::make_synthetic_library();
   workload::WorkloadOptions wopts;
   wopts.seed = 7;

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "placer/poisson.h"
 
 namespace dtp::placer {
@@ -133,6 +135,27 @@ TEST(Poisson, EnergyNonNegativeAndZeroForUniform) {
   for (auto& r : rho) r = rng.uniform(0.0, 2.0);
   solver.solve(rho, psi, ex, ey);
   EXPECT_GT(PoissonSolver::energy(rho, psi), 0.0);
+}
+
+TEST(Poisson, NonPowerOfTwoGridCountsSlowPathSolves) {
+  obs::Counter& slow =
+      obs::MetricsRegistry::instance().counter("placer.poisson.slow_path");
+  const int m = 12;
+  placer::PoissonSolver solver(m, 30.0, 30.0);
+  EXPECT_FALSE(solver.uses_fft());
+  std::vector<double> rho(static_cast<size_t>(m) * m, 0.25);
+  std::vector<double> psi, ex, ey;
+  const uint64_t before = slow.value();
+  solver.solve(rho, psi, ex, ey);
+  solver.solve(rho, psi, ex, ey);
+  EXPECT_EQ(slow.value(), before + 2);
+
+  // The fast path must not touch the counter.
+  placer::PoissonSolver fast(16, 30.0, 30.0);
+  std::vector<double> rho16(16 * 16, 0.25);
+  const uint64_t mid = slow.value();
+  fast.solve(rho16, psi, ex, ey);
+  EXPECT_EQ(slow.value(), mid);
 }
 
 }  // namespace

@@ -32,7 +32,6 @@
 #include "common/cli.h"
 #include "common/json_writer.h"
 #include "common/thread_pool.h"
-#include "kernels/kernel_backend.h"
 #include "liberty/synth_library.h"
 #include "obs/jsonl.h"
 #include "obs/prof/bench_json.h"
@@ -211,13 +210,6 @@ int main(int argc, char** argv) {
   // a directory form a labeled, attributable trajectory.
   const std::string commit = cli::arg_str(argc, argv, "--commit", "");
   const std::string label = cli::arg_str(argc, argv, "--label", "");
-  if (const char* kb_name =
-          cli::arg_str(argc, argv, "--kernel-backend", nullptr)) {
-    if (!kernels::set_backend(kb_name)) {
-      std::fprintf(stderr, "unknown --kernel-backend %s\n", kb_name);
-      return 1;
-    }
-  }
 
   if (cli::arg_flag(argc, argv, "--list")) {
     for (const char* s : {"smoke", "small", "medium", "large"}) {
@@ -235,8 +227,7 @@ int main(int argc, char** argv) {
                  "usage: dtp_bench --suite smoke|small|medium|large "
                  "[--repeats N] [--out PATH] [--sample-ms N] "
                  "[--timeline-out PATH] [--profile-hz HZ] "
-                 "[--commit SHA] [--label STR] "
-                 "[--kernel-backend scalar|simd] [--list]\n");
+                 "[--commit SHA] [--label STR] [--list]\n");
     return 1;
   }
 
@@ -259,7 +250,6 @@ int main(int argc, char** argv) {
   suite_result.threads = ThreadPool::global().num_threads();
   suite_result.commit = commit;
   suite_result.label = label;
-  suite_result.kernel_backend = kernels::backend().name();
   suite_result.counter_probe = counters.read();
 
   for (const CellDef& cell : cells) {

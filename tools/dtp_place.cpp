@@ -35,7 +35,6 @@
 #include "io/sdc.h"
 #include "io/svg_plot.h"
 #include "io/verilog.h"
-#include "kernels/kernel_backend.h"
 #include "liberty/liberty_io.h"
 #include "liberty/synth_library.h"
 #include "placer/global_placer.h"
@@ -96,9 +95,6 @@ void usage() {
                "                 [--progress [N]]       # stderr heartbeat "
                "every N iters (default 50), ignores --log-level\n"
                "                 [--log-level debug|info|warn|error|silent]\n"
-               "                 [--kernel-backend scalar|simd]  # hot-loop "
-               "kernel implementation (default scalar; or "
-               "DTP_KERNEL_BACKEND)\n"
                "                 [--max-recoveries N]   # rollback budget "
                "(default 5)\n"
                "                 [--no-timing-fallback] # fail instead of "
@@ -138,15 +134,6 @@ int main(int argc, char** argv) {
     }
     Logger::instance().set_level(*level);
     Logger::instance().set_timestamps(true);
-  }
-  if (const char* kb_name = arg_str(argc, argv, "--kernel-backend", nullptr)) {
-    if (!kernels::set_backend(kb_name)) {
-      std::fprintf(stderr, "unknown --kernel-backend %s (have:", kb_name);
-      for (const std::string& n : kernels::backend_names())
-        std::fprintf(stderr, " %s", n.c_str());
-      std::fprintf(stderr, ")\n");
-      return 1;
-    }
   }
   const char* trace_path = arg_str(argc, argv, "--trace-out", nullptr);
   const char* metrics_path = arg_str(argc, argv, "--metrics-out", nullptr);
