@@ -19,20 +19,12 @@
 // that woke too late for the previous job (and joined it after it drained)
 // included.
 //
-// The pool keeps lightweight utilization statistics (chunk counts, time chunks
-// waited between dispatch and execution, time workers spent executing, the
-// high-water chunk backlog) for the observability artifacts: stats() snapshots
-// them and the run-summary JSON embeds them.  Accounting costs two clock reads
-// per *chunk* (not per iteration), so it stays on even in benchmark builds.
-//
-// Per-worker timelines (DESIGN.md §9): when enabled, every chunk is
-// additionally recorded as a [t0, t1] busy span on its worker, and mark()
-// drops labeled instants onto the shared timeline (the level-dispatch sweeps
-// call it), so dispatch imbalance — one worker busy while the rest idle —
-// is visible instead of averaged away in the aggregate busy_sec.  Disabled
-// (the default) the extra cost is one relaxed atomic load per chunk; span
-// recording is the one pool path allowed to allocate, and it is excluded from
-// the zero-allocation contract because it is opt-in observability.
+// The pool keeps lightweight utilization statistics (dispatch and chunk
+// counts, time chunks waited between dispatch and execution, time workers
+// spent executing) for the observability artifacts: stats() snapshots them,
+// the run-summary JSON embeds them and the flow benchmark reports them.
+// Accounting costs two clock reads per *chunk* (not per iteration), so it
+// stays on even in benchmark builds.
 #pragma once
 
 #include <atomic>
@@ -41,7 +33,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -57,33 +48,12 @@ struct ThreadPoolStats {
   double queue_wait_sec = 0.0;   // sum of per-chunk dispatch-to-start latency
   double busy_sec = 0.0;         // sum of per-chunk execution time
   double lifetime_sec = 0.0;     // pool age at the time of the snapshot
-  size_t queue_depth_max = 0;    // high-water mark of the pending-chunk backlog
 
   // Fraction of worker capacity spent executing chunks since construction.
   double utilization() const {
     const double capacity = lifetime_sec * static_cast<double>(num_threads);
     return capacity > 0.0 ? busy_sec / capacity : 0.0;
   }
-};
-
-// One chunk's busy extent on one worker; seconds since pool creation.
-struct WorkerSpan {
-  uint32_t worker = 0;
-  double t0_sec = 0.0;
-  double t1_sec = 0.0;
-};
-
-// Lifetime execution aggregate of one worker.
-struct WorkerStat {
-  uint64_t tasks = 0;
-  double busy_sec = 0.0;
-};
-
-// A labeled instant on the pool timeline (e.g. "sta.propagate" at the start
-// of a level sweep).  `label` must be a string literal (pointer is stored).
-struct TimelineMark {
-  double t_sec = 0.0;
-  const char* label = nullptr;
 };
 
 class ThreadPool {
@@ -97,9 +67,6 @@ class ThreadPool {
     n_threads_ = n_threads;
     // With a single worker, run everything inline on the caller thread.
     if (n_threads_ <= 1) return;
-    worker_state_.reserve(n_threads_);
-    for (size_t i = 0; i < n_threads_; ++i)
-      worker_state_.push_back(std::make_unique<WorkerState>());
     workers_.reserve(n_threads_);
     for (size_t i = 0; i < n_threads_; ++i) {
       workers_.emplace_back([this, i] { worker_loop(static_cast<uint32_t>(i)); });
@@ -138,62 +105,7 @@ class ThreadPool {
         1e-9 * static_cast<double>(busy_ns_.load(std::memory_order_relaxed));
     s.lifetime_sec =
         std::chrono::duration<double>(Clock::now() - created_).count();
-    s.queue_depth_max = queue_depth_max_.load(std::memory_order_relaxed);
     return s;
-  }
-
-  // Per-worker lifetime aggregates (empty when the pool runs inline).
-  std::vector<WorkerStat> worker_stats() const {
-    std::vector<WorkerStat> out(worker_state_.size());
-    for (size_t i = 0; i < worker_state_.size(); ++i) {
-      out[i].tasks = worker_state_[i]->tasks.load(std::memory_order_relaxed);
-      out[i].busy_sec =
-          1e-9 *
-          static_cast<double>(worker_state_[i]->busy_ns.load(std::memory_order_relaxed));
-    }
-    return out;
-  }
-
-  // ---- per-worker timeline (DESIGN.md §9) ----
-  void set_timeline_enabled(bool on) {
-    timeline_enabled_.store(on, std::memory_order_relaxed);
-  }
-  bool timeline_enabled() const {
-    return timeline_enabled_.load(std::memory_order_relaxed);
-  }
-  // Snapshot of every recorded busy span, in worker order.  Call from one
-  // thread after the timed work has drained.
-  std::vector<WorkerSpan> timeline() const {
-    std::vector<WorkerSpan> out;
-    for (const auto& ws : worker_state_) {
-      std::lock_guard<std::mutex> lock(ws->mutex);
-      out.insert(out.end(), ws->spans.begin(), ws->spans.end());
-    }
-    return out;
-  }
-  std::vector<TimelineMark> timeline_marks() const {
-    std::lock_guard<std::mutex> lock(marks_mutex_);
-    return marks_;
-  }
-  void clear_timeline() {
-    for (const auto& ws : worker_state_) {
-      std::lock_guard<std::mutex> lock(ws->mutex);
-      ws->spans.clear();
-    }
-    std::lock_guard<std::mutex> lock(marks_mutex_);
-    marks_.clear();
-  }
-  // Drops a labeled instant onto the timeline; no-op (one relaxed load) when
-  // the timeline is disabled.  `label` must outlive the pool (string literal).
-  void mark(const char* label) {
-    if (!timeline_enabled()) return;
-    const double t =
-        std::chrono::duration<double>(Clock::now() - created_).count();
-    std::lock_guard<std::mutex> lock(marks_mutex_);
-    marks_.push_back(TimelineMark{t, label});
-  }
-  void reset_queue_depth_max() {
-    queue_depth_max_.store(0, std::memory_order_relaxed);
   }
 
   // Runs body(i) for i in [begin, end). Blocks until all iterations finish.
@@ -253,15 +165,6 @@ class ThreadPool {
   using Clock = std::chrono::steady_clock;
   using ChunkFn = void (*)(const void*, size_t lo, size_t hi, size_t slot);
 
-  // Owned per worker; only its own worker appends spans, so the mutex is
-  // uncontended except during a timeline() snapshot.
-  struct WorkerState {
-    mutable std::mutex mutex;
-    std::vector<WorkerSpan> spans;
-    std::atomic<uint64_t> tasks{0};
-    std::atomic<uint64_t> busy_ns{0};
-  };
-
   // The one in-flight chunk-claiming job.  Fields are written by the
   // dispatcher under mutex_ and read by workers that observed the matching
   // epoch under the same mutex; they stay frozen until every claimer left
@@ -319,8 +222,6 @@ class ThreadPool {
       job_.dispatched = Clock::now();
       ++epoch_;
     }
-    if (n_chunks > queue_depth_max_.load(std::memory_order_relaxed))
-      queue_depth_max_.store(n_chunks, std::memory_order_relaxed);
     cv_.notify_all();
     std::unique_lock<std::mutex> lock(done_mutex_);
     done_cv_.wait(lock, [this] {
@@ -330,7 +231,6 @@ class ThreadPool {
   }
 
   void run_chunks(uint32_t worker_id) {
-    WorkerState& ws = *worker_state_[worker_id];
     for (;;) {
       const size_t c = job_.next.fetch_add(1, std::memory_order_relaxed);
       if (c >= job_.n_chunks) return;
@@ -344,21 +244,11 @@ class ThreadPool {
           std::memory_order_relaxed);
       job_.fn(job_.ctx, lo, hi, worker_id);
       const Clock::time_point stop = Clock::now();
-      const uint64_t busy = static_cast<uint64_t>(
+      busy_ns_.fetch_add(
           std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
-              .count());
-      busy_ns_.fetch_add(busy, std::memory_order_relaxed);
+              .count(),
+          std::memory_order_relaxed);
       tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-      ws.busy_ns.fetch_add(busy, std::memory_order_relaxed);
-      ws.tasks.fetch_add(1, std::memory_order_relaxed);
-      if (timeline_enabled()) {
-        WorkerSpan span;
-        span.worker = worker_id;
-        span.t0_sec = std::chrono::duration<double>(start - created_).count();
-        span.t1_sec = span.t0_sec + 1e-9 * static_cast<double>(busy);
-        std::lock_guard<std::mutex> lock(ws.mutex);
-        ws.spans.push_back(span);
-      }
       if (job_.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         // Last chunk done; the dispatcher may still wait on active_ == 0.
         std::lock_guard<std::mutex> lock(done_mutex_);
@@ -391,7 +281,6 @@ class ThreadPool {
 
   size_t n_threads_ = 1;
   std::vector<std::thread> workers_;
-  std::vector<std::unique_ptr<WorkerState>> worker_state_;
 
   std::mutex mutex_;                 // guards epoch_/stop_ and job_ install
   std::condition_variable cv_;       // workers sleep here between jobs
@@ -410,10 +299,6 @@ class ThreadPool {
   std::atomic<uint64_t> tasks_executed_{0};
   std::atomic<uint64_t> queue_wait_ns_{0};
   std::atomic<uint64_t> busy_ns_{0};
-  std::atomic<size_t> queue_depth_max_{0};
-  std::atomic<bool> timeline_enabled_{false};
-  mutable std::mutex marks_mutex_;
-  std::vector<TimelineMark> marks_;
 };
 
 inline thread_local bool ThreadPool::tl_in_worker_ = false;

@@ -5,7 +5,6 @@
 #include "common/assert.h"
 #include "common/smooth_math.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "dtimer/elmore_grad.h"
 #include "obs/activity/activity_tracker.h"
 #include "obs/metrics.h"
@@ -88,7 +87,6 @@ sta::TimingMetrics DiffTimer::forward(std::span<const double> cell_x,
 void DiffTimer::backward(double t1, double t2, double h1, double h2,
                          std::span<double> grad_x, std::span<double> grad_y) {
   DTP_TRACE_SCOPE("sta_backward");
-  ThreadPool::global().mark("dtimer.backward");
   static obs::Histogram& bwd_hist =
       obs::MetricsRegistry::instance().histogram("dtimer.backward_ms");
   obs::ScopedTimerMs bwd_timer(bwd_hist);

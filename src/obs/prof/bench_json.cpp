@@ -77,29 +77,17 @@ void cell_object(JsonWriter& w, const BenchCell& cell) {
       w.end_object();
     }
     w.end_object();
-    w.key("counters");
-    counters_to_json(w, r.counters);
     w.key("resources");
     resource_sample_to_json(w, r.resources);
     w.key("pool").begin_object();
     w.key("busy_sec").value(r.pool_busy_sec);
     w.key("utilization").value(r.pool_utilization);
-    w.key("queue_depth_max").value(r.queue_depth_max);
-    w.key("workers").begin_array();
-    for (const WorkerStat& ws : r.workers) {
-      w.begin_object();
-      w.key("tasks").value(ws.tasks);
-      w.key("busy_sec").value(ws.busy_sec);
-      w.end_object();
-    }
-    w.end_array();
     w.end_object();
     w.end_object();
   }
   w.end_array();
 
-  // Stats across repeats; counter-derived series only when every repeat had
-  // counters (a mixed cell would average real rates with zeros).
+  // Stats across repeats.
   w.key("stats").begin_object();
   w.key("wall_sec");
   stats_object(w, compute_stats(series(cell, [](const BenchRepeat& r) {
@@ -109,19 +97,6 @@ void cell_object(JsonWriter& w, const BenchCell& cell) {
   stats_object(w, compute_stats(series(cell, [](const BenchRepeat& r) {
     return r.cpu_sec;
   })));
-  bool all_counters = !cell.repeats.empty();
-  for (const BenchRepeat& r : cell.repeats)
-    all_counters = all_counters && r.counters.available;
-  if (all_counters) {
-    w.key("ipc");
-    stats_object(w, compute_stats(series(cell, [](const BenchRepeat& r) {
-      return r.counters.ipc();
-    })));
-    w.key("cache_miss_rate");
-    stats_object(w, compute_stats(series(cell, [](const BenchRepeat& r) {
-      return r.counters.cache_miss_rate();
-    })));
-  }
   w.key("phases").begin_object();
   if (!cell.repeats.empty()) {
     for (size_t p = 0; p < cell.repeats.front().phases.size(); ++p) {
@@ -159,12 +134,6 @@ std::string bench_json(const BenchSuiteResult& suite) {
   w.key("threads").value(static_cast<uint64_t>(suite.threads));
   if (!suite.commit.empty()) w.key("commit").value(suite.commit);
   if (!suite.label.empty()) w.key("label").value(suite.label);
-  w.key("counters");
-  w.begin_object();
-  w.key("available").value(suite.counter_probe.available);
-  if (!suite.counter_probe.available)
-    w.key("reason").value(suite.counter_probe.unavailable_reason);
-  w.end_object();
   w.key("cells").begin_array();
   for (const BenchCell& cell : suite.cells) cell_object(w, cell);
   w.end_array();
@@ -198,12 +167,6 @@ std::string bench_history_line(const JsonValue& doc) {
   if (!label.empty()) w.key("label").value(label);
   w.key("threads")
       .value(static_cast<uint64_t>(doc.num_or("threads", 0.0)));
-  bool counters_available = false;
-  if (doc.has("counters") && doc.at("counters").is_object()) {
-    const JsonValue& c = doc.at("counters");
-    counters_available = c.has("available") && c.at("available").boolean;
-  }
-  w.key("counters_available").value(counters_available);
   w.key("cells").begin_array();
   for (const JsonValue& cell : doc.at("cells").array) {
     w.begin_object();
@@ -232,10 +195,6 @@ namespace {
 struct CellStats {
   double wall_median = 0.0, wall_stddev = 0.0;
   double cpu_median = 0.0;
-  double ipc_median = 0.0;
-  bool has_ipc = false;
-  double miss_median = 0.0;
-  bool has_miss = false;
 };
 
 bool read_cell_stats(const JsonValue& cell, CellStats& out) {
@@ -245,14 +204,6 @@ bool read_cell_stats(const JsonValue& cell, CellStats& out) {
   out.wall_median = st.at("wall_sec").num_or("median", 0.0);
   out.wall_stddev = st.at("wall_sec").num_or("stddev", 0.0);
   out.cpu_median = st.at("cpu_sec").num_or("median", 0.0);
-  if (st.has("ipc")) {
-    out.ipc_median = st.at("ipc").num_or("median", 0.0);
-    out.has_ipc = true;
-  }
-  if (st.has("cache_miss_rate")) {
-    out.miss_median = st.at("cache_miss_rate").num_or("median", 0.0);
-    out.has_miss = true;
-  }
   return true;
 }
 
@@ -332,22 +283,15 @@ int bench_diff(const JsonValue& a, const JsonValue& b,
     struct Row {
       const char* metric;
       double va, vb;
-      bool gates;        // can this metric fail the diff at all
-      bool worse_is_up;  // regression direction
+      bool gates;  // can this metric fail the diff at all
     };
     const Row rows[] = {
         {"wall_sec", sa.wall_median, sb.wall_median,
-         !noisy && sa.wall_median >= opts.min_gate_sec, true},
+         !noisy && sa.wall_median >= opts.min_gate_sec},
         {"cpu_sec", sa.cpu_median, sb.cpu_median,
-         !noisy && sa.cpu_median >= opts.min_gate_sec, true},
-        {"ipc", sa.ipc_median, sb.ipc_median, false, false},
-        {"cache_miss_rate", sa.miss_median, sb.miss_median, false, true},
+         !noisy && sa.cpu_median >= opts.min_gate_sec},
     };
     for (const Row& r : rows) {
-      if ((r.metric == std::string("ipc") && !(sa.has_ipc && sb.has_ipc)) ||
-          (r.metric == std::string("cache_miss_rate") &&
-           !(sa.has_miss && sb.has_miss)))
-        continue;
       const double ratio = r.va > 0.0 ? r.vb / r.va : 0.0;
       const bool regressed =
           r.gates && r.va > 0.0 && r.vb > r.va * (1.0 + opts.threshold);

@@ -4,8 +4,8 @@
 // tools/dtp_bench fills BenchSuiteResult (one cell per workload×mode, N
 // repeats per cell), and this module owns the schema: serialization
 // (schema "dtp.bench.v1"), the repeat-series statistics (min / median / p95 /
-// stddev over wall time, CPU time, IPC and cache-miss rate, per total and per
-// kernel phase), and the noise-thresholded regression gate behind
+// stddev over wall time and CPU time, per total and per kernel phase), and
+// the noise-thresholded regression gate behind
 // `dtp_report --bench-diff old.json new.json` (exit 2 on regression) —
 // mirroring the --diff quality gate for runtime.
 //
@@ -19,8 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
-#include "obs/prof/hw_counters.h"
 #include "obs/prof/resource_sampler.h"
 
 namespace dtp {
@@ -60,12 +58,9 @@ struct BenchRepeat {
   // Kernel-phase breakdown in canonical order (wirelength, density, rsmt,
   // sta_forward, sta_backward, step); zero-time phases included.
   std::vector<std::pair<std::string, PhaseTimes>> phases;
-  CounterSample counters;       // grouped HW counters, or available:false
   ResourceSample resources;     // end-of-run OS resource snapshot
   double pool_busy_sec = 0.0;   // thread-pool busy delta across the run
   double pool_utilization = 0.0;
-  uint64_t queue_depth_max = 0;
-  std::vector<WorkerStat> workers;  // per-worker busy deltas (may be empty)
 };
 
 struct BenchCell {
@@ -89,7 +84,6 @@ struct BenchSuiteResult {
   // comparable, attributable trajectory.
   std::string commit;
   std::string label;
-  CounterSample counter_probe;  // availability probe recorded in the header
   std::vector<BenchCell> cells;
 };
 
@@ -104,8 +98,9 @@ bool write_bench_json(const std::string& path, const BenchSuiteResult& suite);
 // cpu_sec regress when new > old * (1 + threshold).  Noise banding: a cell
 // whose baseline is noisy (stddev/median > noise_cv) or too fast to time
 // (median < min_gate_sec) is reported informationally and never gates — the
-// continuous-benchmarking harness must not flap on timer jitter.  IPC and
-// cache-miss-rate deltas are always informational.
+// continuous-benchmarking harness must not flap on timer jitter.  Keys that
+// older documents still carry (hardware-counter blocks and series, per-worker
+// pool stats, "kernel_backend") are ignored.
 //
 // Returns 0 (ok), 1 (malformed input), or 2 (regression).  A human-readable
 // table is printed to `out` (pass nullptr to suppress).  Provenance
@@ -123,8 +118,7 @@ int bench_diff(const JsonValue& a, const JsonValue& b,
 // One-line per-run summary of a parsed dtp.bench document for the running
 // BENCH_history.jsonl trajectory (`dtp_report --history`):
 //   {"type":"bench_run","suite":...,"commit":...,"label":...,"threads":N,
-//    "counters_available":b,"cells":[{"name":...,"wall_median_sec":...,
-//    "cpu_median_sec":...},...]}
+//    "cells":[{"name":...,"wall_median_sec":...,"cpu_median_sec":...},...]}
 // Returns "" when the document is not a dtp.bench document.
 std::string bench_history_line(const JsonValue& doc);
 

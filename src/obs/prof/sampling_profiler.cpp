@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/json_writer.h"
-#include "obs/prof/hw_counters.h"
 #include "obs/trace.h"
 
 namespace dtp::obs::prof {
@@ -67,9 +66,6 @@ struct SamplingProfiler::Impl {
     const char* label = nullptr;  // nullptr: slot empty
     uint64_t self = 0;
     uint64_t total = 0;
-    uint64_t cycles = 0;
-    uint64_t instructions = 0;
-    uint64_t cache_misses = 0;
   };
   std::vector<LabelEntry> labels;  // open-addressed by pointer identity
   size_t label_mask = 0;
@@ -87,7 +83,7 @@ struct SamplingProfiler::Impl {
     uint64_t ticks = 0;
     uint64_t samples = 0;
     uint64_t torn = 0;
-    std::vector<uint64_t> self, total, cycles, instructions, cache_misses;
+    std::vector<uint64_t> self, total;
   };
   std::vector<Checkpoint> checkpoints;  // ring, oldest overwritten
   size_t checkpoint_head = 0;
@@ -98,13 +94,7 @@ struct SamplingProfiler::Impl {
   std::vector<Tracer::LiveSample> scratch;
   std::vector<const char*> uniq;
 
-  // ---- hardware counters (driver thread's group, read per tick) ---------
-  std::unique_ptr<HwCounters> counters;
-  bool counters_open = false;
-  bool counters_available = false;
-  std::string counters_reason;
-  CounterSample last_counters;
-  uint32_t driver_tid = UINT32_MAX;
+  // Tracer drop counters at start(), so the summary reports this run's.
   size_t truncated_base = 0;
   size_t unregistered_base = 0;
 
@@ -132,9 +122,6 @@ struct SamplingProfiler::Impl {
     for (Checkpoint& c : checkpoints) {
       c.self.resize(labels.size());
       c.total.resize(labels.size());
-      c.cycles.resize(labels.size());
-      c.instructions.resize(labels.size());
-      c.cache_misses.resize(labels.size());
     }
   }
 
@@ -164,7 +151,6 @@ struct SamplingProfiler::Impl {
     checkpoint_head = 0;
     last_checkpoint_t = 0.0;
     last_tick_t = 0.0;
-    last_counters = CounterSample{};
   }
 
   // Requires mu.  Returns nullptr when the table is full and the label new.
@@ -230,9 +216,6 @@ struct SamplingProfiler::Impl {
     for (size_t i = 0; i < labels.size(); ++i) {
       c.self[i] = labels[i].self;
       c.total[i] = labels[i].total;
-      c.cycles[i] = labels[i].cycles;
-      c.instructions[i] = labels[i].instructions;
-      c.cache_misses[i] = labels[i].cache_misses;
     }
     last_checkpoint_t = t_sec;
   }
@@ -243,23 +226,15 @@ struct SamplingProfiler::Impl {
     size_t torn_now = 0;
     const size_t n =
         tracer.sample_live(scratch.data(), scratch.size(), &torn_now);
-    CounterSample cs;
-    bool have_counters = false;
-    if (counters_open) {
-      cs = counters->read();
-      have_counters = cs.available;
-    }
     std::lock_guard<std::mutex> lock(mu);
     ++ticks;
     torn += torn_now;
     last_tick_t = t_sec;
-    const char* driver_leaf = nullptr;
     for (size_t i = 0; i < n; ++i) {
       const Tracer::LiveSample& smp = scratch[i];
       ++samples;
       accumulate_stack(smp);
       const char* leaf = smp.frames[smp.depth - 1];
-      if (smp.tid == driver_tid) driver_leaf = leaf;
       // Per-label tallies: self for the leaf, total once per distinct label
       // on the stack (recursion must not double-count inclusive weight).
       uniq.clear();
@@ -286,19 +261,6 @@ struct SamplingProfiler::Impl {
       // Recursion edge: when the leaf label also appears higher in the
       // stack, the loop above already credited its self count once.
       if (label_lost) ++dropped_label_samples;
-    }
-    if (have_counters) {
-      if (driver_leaf != nullptr) {
-        LabelEntry* e = label_entry(driver_leaf);
-        if (e != nullptr) {
-          e->cycles += cs.cycles - last_counters.cycles;
-          e->instructions += cs.instructions - last_counters.instructions;
-          e->cache_misses += cs.cache_misses - last_counters.cache_misses;
-        }
-      }
-      // Advance the window even on idle ticks so idle cycles are dropped,
-      // not rolled into the next busy label.
-      last_counters = cs;
     }
     maybe_checkpoint(t_sec);
   }
@@ -346,30 +308,11 @@ void SamplingProfiler::start() {
   if (im.running.load(std::memory_order_relaxed)) return;
   Tracer& tracer = Tracer::instance();
   tracer.enable_live();
-  im.driver_tid = Tracer::live_thread_id();
   im.truncated_base = tracer.live_truncated();
   im.unregistered_base = tracer.live_unregistered();
   {
     std::lock_guard<std::mutex> lock(im.mu);
     im.reset_accumulators();
-  }
-  if (im.opts.counters) {
-    // Opened on the calling (driver) thread; the sampler thread only reads
-    // the group fd, which is thread-safe.
-    im.counters = std::make_unique<HwCounters>();
-    if (im.counters->available()) {
-      im.counters->start();
-      im.counters_open = true;
-      im.counters_available = true;
-      im.counters_reason.clear();
-    } else {
-      im.counters_available = false;
-      im.counters_reason = im.counters->unavailable_reason();
-      im.counters.reset();
-    }
-  } else {
-    im.counters_available = false;
-    im.counters_reason = "disabled by options";
   }
   {
     std::lock_guard<std::mutex> lk(im.cv_mu);
@@ -392,11 +335,6 @@ void SamplingProfiler::stop() {
   if (im.thread.joinable()) im.thread.join();
   im.stopped_duration = im.elapsed_sec();
   im.running.store(false, std::memory_order_relaxed);
-  if (im.counters_open) {
-    im.counters->stop();
-    im.counters_open = false;
-    im.counters.reset();
-  }
   Tracer::instance().disable_live();
 }
 
@@ -458,9 +396,6 @@ std::string SamplingProfiler::summary_json(double window_sec) const {
   struct Merged {
     uint64_t self = 0;
     uint64_t total = 0;
-    uint64_t cycles = 0;
-    uint64_t instructions = 0;
-    uint64_t cache_misses = 0;
   };
   // Merge by string content: the same label text may be distinct literals in
   // different translation units.
@@ -486,16 +421,10 @@ std::string SamplingProfiler::summary_json(double window_sec) const {
       Merged m;
       m.self = e.self - (base ? base->self[i] : 0);
       m.total = e.total - (base ? base->total[i] : 0);
-      m.cycles = e.cycles - (base ? base->cycles[i] : 0);
-      m.instructions = e.instructions - (base ? base->instructions[i] : 0);
-      m.cache_misses = e.cache_misses - (base ? base->cache_misses[i] : 0);
-      if (m.total == 0 && m.cycles == 0) continue;
+      if (m.total == 0) continue;
       Merged& dst = merged[std::string_view(e.label)];
       dst.self += m.self;
       dst.total += m.total;
-      dst.cycles += m.cycles;
-      dst.instructions += m.instructions;
-      dst.cache_misses += m.cache_misses;
     }
   }
   std::vector<std::pair<std::string_view, Merged>> rows(merged.begin(),
@@ -523,10 +452,6 @@ std::string SamplingProfiler::summary_json(double window_sec) const {
                                    im.unregistered_base));
   w.key("dropped_stack_samples").value(dropped_stacks);
   w.key("dropped_label_samples").value(dropped_labels);
-  w.key("counters").begin_object();
-  w.key("available").value(im.counters_available);
-  if (!im.counters_available) w.key("reason").value(im.counters_reason);
-  w.end_object();
   const double denom = w_samples > 0 ? static_cast<double>(w_samples) : 1.0;
   w.key("labels").begin_array();
   for (const auto& [label, m] : rows) {
@@ -536,11 +461,6 @@ std::string SamplingProfiler::summary_json(double window_sec) const {
     w.key("total").value(m.total);
     w.key("self_pct").value(100.0 * static_cast<double>(m.self) / denom);
     w.key("total_pct").value(100.0 * static_cast<double>(m.total) / denom);
-    if (im.counters_available) {
-      w.key("cycles").value(m.cycles);
-      w.key("instructions").value(m.instructions);
-      w.key("cache_misses").value(m.cache_misses);
-    }
     w.end_object();
   }
   w.end_array();

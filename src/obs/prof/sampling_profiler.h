@@ -13,11 +13,7 @@
 //
 // One "sample" is one non-empty stack observed at one tick, so the sum of
 // all self counts equals the sample count exactly — the accounting identity
-// the CI validator checks.  Hardware counters (perf_event_open, DESIGN.md
-// §9) are opened on the thread that calls start() — the placer driver — and
-// read once per tick; each delta is attributed to that thread's current leaf
-// label, giving per-label cycle/instruction/cache-miss estimates alongside
-// the sample counts.
+// the CI validator checks.
 //
 // Contracts: attaching the profiler changes no placement results (the
 // sampler only reads), the publish and sample paths allocate nothing in
@@ -44,7 +40,6 @@ class SamplingProfiler {
     size_t max_labels = 256;   // distinct span labels tracked
     double checkpoint_period_sec = 1.0;  // rolling-window granularity
     size_t max_checkpoints = 64;         // window history (~1 min at 1 s)
-    bool counters = true;  // open hw counters on the start() thread
   };
 
   SamplingProfiler();
@@ -54,8 +49,7 @@ class SamplingProfiler {
   SamplingProfiler& operator=(const SamplingProfiler&) = delete;
 
   // Spawns the sampler thread and attaches live-span publication (refcounted
-  // Tracer::enable_live()).  Call from the driver thread whose hw-counter
-  // deltas should be attributed.  Idempotent while running.
+  // Tracer::enable_live()).  Idempotent while running.
   void start();
   // Stops and joins the sampler thread, detaches live publication.  The
   // accumulated profile stays readable.  Idempotent.
@@ -78,8 +72,8 @@ class SamplingProfiler {
   // given set of stacks).  flamegraph.pl / speedscope compatible.
   std::string collapsed() const;
 
-  // JSON summary, schema "dtp.profile.v1": sampling telemetry, counter
-  // availability, and the per-label table sorted by self count descending.
+  // JSON summary, schema "dtp.profile.v1": sampling telemetry and the
+  // per-label table sorted by self count descending.
   // window_sec > 0 restricts the tallies to approximately the last
   // window_sec seconds (checkpoint granularity); 0 means the whole run.
   std::string summary_json(double window_sec = 0.0) const;

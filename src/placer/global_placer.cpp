@@ -114,9 +114,10 @@ PlaceResult GlobalPlacer::run() {
   DTP_TRACE_SCOPE("global_place");
   Stopwatch total_clock;
 
-  // Per-phase accumulators live in the process-wide registry so every placer
-  // run in a process feeds the same histograms; the per-run PhaseBreakdown is
-  // recovered as the sum-delta across this run.
+  // Per-phase histograms in the process-wide registry feed --metrics-out;
+  // every placer run in a process shares them.  The per-run PhaseBreakdown
+  // is summed from this run's own history instead, so concurrent runs do not
+  // see each other's time and a disabled registry does not zero it.
   auto& registry = obs::MetricsRegistry::instance();
   static obs::Counter& iter_count = registry.counter("placer.iterations");
   static obs::Histogram& h_wl = registry.histogram("placer.wirelength_ms");
@@ -125,8 +126,6 @@ PlaceResult GlobalPlacer::run() {
   static obs::Histogram& h_sta_f = registry.histogram("placer.sta_forward_ms");
   static obs::Histogram& h_sta_b = registry.histogram("placer.sta_backward_ms");
   static obs::Histogram& h_step = registry.histogram("placer.step_ms");
-  const double sum0[6] = {h_wl.sum(),    h_den.sum(),   h_rsmt.sum(),
-                          h_sta_f.sum(), h_sta_b.sum(), h_step.sum()};
 
   netlist::Netlist& nl = design_->netlist;
   const size_t n = nl.num_cells();
@@ -375,8 +374,8 @@ PlaceResult GlobalPlacer::run() {
   bool timing_cut = false;
   Stopwatch phase_clock;
   // Process-CPU time per phase (same order as PhaseBreakdown: wl, density,
-  // rsmt, sta_fwd, sta_bwd, step).  Wall ms already flow through the metrics
-  // histograms; CPU seconds accumulate here directly.
+  // rsmt, sta_fwd, sta_bwd, step).  Wall ms are summed from the history
+  // after the loop; CPU seconds accumulate here directly.
   double phase_cpu[6] = {0, 0, 0, 0, 0, 0};
   for (; iter < options_.max_iters; ++iter) {
     // ---- control plane: poll external requests between iterations, where
@@ -762,12 +761,21 @@ PlaceResult GlobalPlacer::run() {
   result.runtime_sec = total_clock.elapsed_sec();
   result.cpu_runtime_sec = total_clock.cpu_elapsed_sec();
   result.sta_runtime_sec = sta_time;
-  result.phases.wirelength_sec = 1e-3 * (h_wl.sum() - sum0[0]);
-  result.phases.density_sec = 1e-3 * (h_den.sum() - sum0[1]);
-  result.phases.rsmt_sec = 1e-3 * (h_rsmt.sum() - sum0[2]);
-  result.phases.sta_forward_sec = 1e-3 * (h_sta_f.sum() - sum0[3]);
-  result.phases.sta_backward_sec = 1e-3 * (h_sta_b.sum() - sum0[4]);
-  result.phases.step_sec = 1e-3 * (h_step.sum() - sum0[5]);
+  double phase_ms[6] = {0, 0, 0, 0, 0, 0};
+  for (const IterationLog& h : result.history) {
+    phase_ms[0] += h.wl_grad_ms;
+    phase_ms[1] += h.density_ms;
+    phase_ms[2] += h.rsmt_ms;
+    phase_ms[3] += h.sta_fwd_ms;
+    phase_ms[4] += h.sta_bwd_ms;
+    phase_ms[5] += h.step_ms;
+  }
+  result.phases.wirelength_sec = 1e-3 * phase_ms[0];
+  result.phases.density_sec = 1e-3 * phase_ms[1];
+  result.phases.rsmt_sec = 1e-3 * phase_ms[2];
+  result.phases.sta_forward_sec = 1e-3 * phase_ms[3];
+  result.phases.sta_backward_sec = 1e-3 * phase_ms[4];
+  result.phases.step_sec = 1e-3 * phase_ms[5];
   result.phases.wirelength_cpu_sec = phase_cpu[0];
   result.phases.density_cpu_sec = phase_cpu[1];
   result.phases.rsmt_cpu_sec = phase_cpu[2];

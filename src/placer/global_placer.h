@@ -207,8 +207,8 @@ struct IterationLog {
   double step_ms = 0.0;      // precondition + optimizer step + projection
 };
 
-// Where the placement run's wall clock went, in seconds (summed over
-// iterations).  Populated from the metrics-registry histograms the run feeds.
+// Where the placement run's wall clock went, in seconds: the per-phase
+// milliseconds of the run's own `history`, summed.
 // The *_cpu_sec twins are process CPU time (all threads) over the same span,
 // so cpu/wall per phase shows which kernels actually parallelize.
 struct PhaseBreakdown {

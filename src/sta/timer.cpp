@@ -283,7 +283,6 @@ void Timer::set_activity_tracker(obs::ActivityTracker* tracker) {
 
 void Timer::propagate() {
   DTP_TRACE_SCOPE("sta_propagate");
-  ThreadPool::global().mark("sta.propagate");
   init_sources(/*early=*/false);
   sweep_levels(/*early=*/false);
   if (options_.enable_early) {

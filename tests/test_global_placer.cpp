@@ -3,8 +3,11 @@
 // timing at near-equal HPWL.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "common/rng.h"
 #include "liberty/synth_library.h"
+#include "obs/metrics.h"
 #include "placer/global_placer.h"
 #include "placer/legalizer.h"
 #include "workload/circuit_gen.h"
@@ -169,6 +172,53 @@ TEST(GlobalPlacer, AdamModeAlsoConverges) {
   GlobalPlacer placer(d, graph, o);
   const auto res = placer.run();
   EXPECT_LT(res.overflow, 0.15);
+}
+
+// Runs a short DiffTiming placement and checks that its PhaseBreakdown wall
+// seconds are exactly the per-phase milliseconds of its own history, summed.
+void expect_phases_from_own_history(uint64_t seed) {
+  liberty::CellLibrary lib = liberty::make_synthetic_library();
+  Design d = make_design(300, seed, lib);
+  sta::TimingGraph graph(d.netlist);
+  GlobalPlacerOptions o = fast_options();
+  o.mode = PlacerMode::DiffTiming;
+  o.max_iters = 40;
+  o.timing_start_iter = 10;
+  o.timing_start_overflow = 1.0;
+  GlobalPlacer placer(d, graph, o);
+  const PlaceResult res = placer.run();
+  double ms[6] = {0, 0, 0, 0, 0, 0};
+  for (const IterationLog& h : res.history) {
+    ms[0] += h.wl_grad_ms;
+    ms[1] += h.density_ms;
+    ms[2] += h.rsmt_ms;
+    ms[3] += h.sta_fwd_ms;
+    ms[4] += h.sta_bwd_ms;
+    ms[5] += h.step_ms;
+  }
+  const PhaseBreakdown& p = res.phases;
+  const double sec[6] = {p.wirelength_sec,  p.density_sec,
+                         p.rsmt_sec,        p.sta_forward_sec,
+                         p.sta_backward_sec, p.step_sec};
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_GT(sec[i], 0.0) << "phase " << i;
+    EXPECT_DOUBLE_EQ(sec[i], 1e-3 * ms[i]) << "phase " << i;
+  }
+}
+
+TEST(GlobalPlacer, PhasesSumOwnHistoryWithRegistryDisabled) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+  reg.set_enabled(false);
+  expect_phases_from_own_history(317);
+  reg.set_enabled(true);
+}
+
+TEST(GlobalPlacer, ConcurrentRunsKeepSeparatePhaseBooks) {
+  // Two placements at once, as under dtp_serve: neither may book the other's
+  // time.
+  std::thread other([] { expect_phases_from_own_history(319); });
+  expect_phases_from_own_history(321);
+  other.join();
 }
 
 }  // namespace

@@ -1,22 +1,20 @@
-// Performance observability layer (DESIGN.md §9): HwCounters fallback
-// contract, ResourceSampler start/stop hygiene, per-worker timeline
-// accounting, the BENCH_*.json schema round-trip, the bench-diff regression
-// gate, and the pure-observer guarantee (sampling leaves placement results
-// bitwise identical).
+// Performance observability layer (DESIGN.md §9): ResourceSampler
+// start/stop hygiene, the BENCH_*.json schema round-trip, the bench-diff
+// regression gate and its tolerance of keys older artifacts carry, and the
+// pure-observer guarantee (sampling leaves placement results bitwise
+// identical).
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/json_parse.h"
-#include "common/json_writer.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "liberty/synth_library.h"
 #include "obs/prof/bench_json.h"
-#include "obs/prof/hw_counters.h"
 #include "obs/prof/resource_sampler.h"
 #include "placer/global_placer.h"
 #include "sta/timing_graph.h"
@@ -24,68 +22,6 @@
 
 namespace dtp::obs::prof {
 namespace {
-
-// ---------------------------------------------------------- HwCounters ----
-
-// The graceful-fallback contract: whether or not perf_event_open is
-// permitted in this environment, construction/start/stop must not crash and
-// the sample must be explicit about availability.
-TEST(HwCounters, NeverCrashesAndReportsAvailability) {
-  HwCounters hc;
-  hc.start();
-  volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink = sink + 1.0 / (i + 1);
-  const CounterSample s = hc.stop();
-  EXPECT_EQ(s.available, hc.available());
-  if (s.available) {
-    EXPECT_GT(s.cycles, 0u);
-    EXPECT_GT(s.instructions, 0u);
-    EXPECT_GT(s.ipc(), 0.0);
-    EXPECT_GE(s.running_fraction, 0.0);
-    EXPECT_LE(s.running_fraction, 1.0 + 1e-9);
-  } else {
-    EXPECT_FALSE(hc.unavailable_reason().empty());
-    EXPECT_FALSE(s.unavailable_reason.empty());
-    EXPECT_EQ(s.cycles, 0u);
-  }
-}
-
-TEST(HwCounters, DtpNoPerfForcesExplicitFallback) {
-  ::setenv("DTP_NO_PERF", "1", 1);
-  HwCounters hc;
-  ::unsetenv("DTP_NO_PERF");
-  EXPECT_FALSE(hc.available());
-  hc.start();  // must be a no-op, not a crash
-  const CounterSample s = hc.stop();
-  EXPECT_FALSE(s.available);
-  EXPECT_NE(s.unavailable_reason.find("DTP_NO_PERF"), std::string::npos);
-
-  // The JSON record must carry the explicit available:false marker.
-  JsonWriter w;
-  counters_to_json(w, s);
-  const JsonValue v = JsonParser::parse(w.str());
-  ASSERT_TRUE(v.is_object());
-  EXPECT_FALSE(v.at("available").boolean);
-  EXPECT_FALSE(v.str_or("reason", "").empty());
-}
-
-TEST(HwCounters, AvailableSampleSerializesRates) {
-  CounterSample s;
-  s.available = true;
-  s.cycles = 2000;
-  s.instructions = 3000;
-  s.cache_references = 100;
-  s.cache_misses = 25;
-  s.branch_misses = 7;
-  s.running_fraction = 1.0;
-  JsonWriter w;
-  counters_to_json(w, s);
-  const JsonValue v = JsonParser::parse(w.str());
-  EXPECT_TRUE(v.at("available").boolean);
-  EXPECT_DOUBLE_EQ(v.num_or("ipc", 0.0), 1.5);
-  EXPECT_DOUBLE_EQ(v.num_or("cache_miss_rate", 0.0), 0.25);
-  EXPECT_EQ(v.num_or("branch_misses", 0.0), 7.0);
-}
 
 // ------------------------------------------------------ ResourceSampler ----
 
@@ -131,93 +67,6 @@ TEST(ResourceSampler, SnapshotNowIsStandalone) {
 #if defined(__linux__)
   EXPECT_GT(s.rss_mb, 0.0);
 #endif
-}
-
-// --------------------------------------------------- worker timelines ----
-
-TEST(ThreadPoolTimeline, SpanSumMatchesAggregateBusy) {
-  ThreadPool pool(4);
-  pool.set_timeline_enabled(true);
-  std::atomic<long> sink{0};
-  for (int round = 0; round < 4; ++round)
-    pool.parallel_for(
-        0, 4096,
-        [&](size_t i) {
-          long acc = 0;
-          for (int k = 0; k < 200; ++k) acc += static_cast<long>(i) * k;
-          sink += acc;
-        },
-        /*grain=*/64);
-  // Workers account busy time / spans just after signaling task completion,
-  // so let the accounting settle before snapshotting.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  pool.set_timeline_enabled(false);
-
-  const ThreadPoolStats stats = pool.stats();
-  ASSERT_GT(stats.tasks_executed, 0u);
-  const std::vector<WorkerSpan> spans = pool.timeline();
-  ASSERT_EQ(spans.size(), stats.tasks_executed);
-  double span_sum = 0.0;
-  for (const WorkerSpan& s : spans) {
-    EXPECT_GE(s.t1_sec, s.t0_sec);
-    EXPECT_LT(s.worker, 4u);
-    span_sum += s.t1_sec - s.t0_sec;
-  }
-  // Span ends are derived from the same ns-quantized busy time as the
-  // aggregate, so the sums agree to rounding.
-  EXPECT_NEAR(span_sum, stats.busy_sec, 1e-6);
-
-  // Per-worker aggregates sum to the same totals.
-  const std::vector<WorkerStat> workers = pool.worker_stats();
-  ASSERT_EQ(workers.size(), 4u);
-  uint64_t tasks = 0;
-  double busy = 0.0;
-  for (const WorkerStat& w : workers) {
-    tasks += w.tasks;
-    busy += w.busy_sec;
-  }
-  EXPECT_EQ(tasks, stats.tasks_executed);
-  EXPECT_NEAR(busy, stats.busy_sec, 1e-6);
-}
-
-TEST(ThreadPoolTimeline, MarksAndClearAndQueueDepth) {
-  ThreadPool pool(2);
-  pool.mark("ignored.disabled");  // timeline off: must not record
-  EXPECT_TRUE(pool.timeline_marks().empty());
-
-  pool.set_timeline_enabled(true);
-  pool.mark("phase.a");
-  pool.parallel_for(
-      0, 1024,
-      [](size_t) {
-        std::this_thread::sleep_for(std::chrono::microseconds(20));
-      },
-      /*grain=*/8);
-  pool.mark("phase.b");
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // settle spans
-  pool.set_timeline_enabled(false);
-
-  const std::vector<TimelineMark> marks = pool.timeline_marks();
-  ASSERT_EQ(marks.size(), 2u);
-  EXPECT_STREQ(marks[0].label, "phase.a");
-  EXPECT_STREQ(marks[1].label, "phase.b");
-  EXPECT_LE(marks[0].t_sec, marks[1].t_sec);
-  EXPECT_FALSE(pool.timeline().empty());
-  // 1024/8 chunk tasks through 2 workers must have queued at some point.
-  EXPECT_GT(pool.stats().queue_depth_max, 0u);
-  pool.reset_queue_depth_max();
-  EXPECT_EQ(pool.stats().queue_depth_max, 0u);
-
-  pool.clear_timeline();
-  EXPECT_TRUE(pool.timeline().empty());
-  EXPECT_TRUE(pool.timeline_marks().empty());
-}
-
-TEST(ThreadPoolTimeline, DisabledRecordsNoSpans) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, 2048, [](size_t) {}, /*grain=*/8);
-  EXPECT_TRUE(pool.timeline().empty());
-  EXPECT_GT(pool.stats().tasks_executed, 0u);  // aggregates still accumulate
 }
 
 // ---------------------------------------------------- CPU-time stopwatch ----
@@ -267,8 +116,6 @@ BenchSuiteResult make_suite(double wall_scale) {
   suite.suite = "unit";
   suite.repeats = 3;
   suite.threads = 2;
-  suite.counter_probe.available = false;
-  suite.counter_probe.unavailable_reason = "unit test";
   BenchCell cell;
   cell.name = "s100/dt";
   cell.design = "s100";
@@ -285,8 +132,6 @@ BenchSuiteResult make_suite(double wall_scale) {
                   {"density", {0.6 * rep.wall_sec, 0.54 * rep.wall_sec}}};
     rep.pool_busy_sec = 0.5 * rep.wall_sec;
     rep.pool_utilization = 0.25;
-    rep.queue_depth_max = 4;
-    rep.workers = {{10, 0.25 * rep.wall_sec}, {12, 0.25 * rep.wall_sec}};
     cell.repeats.push_back(rep);
   }
   suite.cells.push_back(cell);
@@ -301,7 +146,6 @@ TEST(BenchJson, SchemaRoundTrip) {
   EXPECT_EQ(v.str_or("suite", ""), "unit");
   EXPECT_EQ(v.num_or("repeats", 0.0), 3.0);
   EXPECT_EQ(v.num_or("threads", 0.0), 2.0);
-  EXPECT_FALSE(v.at("counters").at("available").boolean);
   ASSERT_TRUE(v.at("cells").is_array());
   const JsonValue& cell = v.at("cells").at(size_t{0});
   EXPECT_EQ(cell.str_or("name", ""), "s100/dt");
@@ -312,8 +156,6 @@ TEST(BenchJson, SchemaRoundTrip) {
   EXPECT_DOUBLE_EQ(st.at("wall_sec").num_or("median", 0.0), 1.01);
   EXPECT_DOUBLE_EQ(st.at("wall_sec").num_or("p95", 0.0), 1.02);
   EXPECT_GT(st.at("wall_sec").num_or("stddev", -1.0), 0.0);
-  // Counters unavailable on every repeat: no IPC series is fabricated.
-  EXPECT_FALSE(st.has("ipc"));
   // Per-phase stats mirror the repeat phases.
   ASSERT_TRUE(st.at("phases").has("wirelength"));
   EXPECT_NEAR(st.at("phases").at("wirelength").at("wall_sec").num_or("median", 0.0),
@@ -322,8 +164,8 @@ TEST(BenchJson, SchemaRoundTrip) {
   // Repeat records carry resources and pool accounting.
   const JsonValue& rep = cell.at("repeats").at(size_t{0});
   EXPECT_TRUE(rep.has("resources"));
-  EXPECT_EQ(rep.at("pool").num_or("queue_depth_max", 0.0), 4.0);
-  EXPECT_EQ(rep.at("pool").at("workers").array.size(), 2u);
+  EXPECT_DOUBLE_EQ(rep.at("pool").num_or("utilization", 0.0), 0.25);
+  EXPECT_DOUBLE_EQ(rep.at("pool").num_or("busy_sec", 0.0), 0.5);
 }
 
 TEST(BenchJson, EmbeddedProfileSplicesIntoCell) {
@@ -357,7 +199,6 @@ TEST(BenchHistory, SummarizesOneRunPerLine) {
   EXPECT_EQ(v.str_or("commit", ""), "abc1234");
   EXPECT_EQ(v.str_or("label", ""), "nightly");
   EXPECT_EQ(v.num_or("threads", 0.0), 2.0);
-  EXPECT_FALSE(v.at("counters_available").boolean);
   ASSERT_EQ(v.at("cells").array.size(), 1u);
   const JsonValue& cell = v.at("cells").at(size_t{0});
   EXPECT_EQ(cell.str_or("name", ""), "s100/dt");
@@ -414,6 +255,39 @@ TEST(BenchDiff, SubMillisecondBaselineNeverGates) {
   EXPECT_EQ(bench_diff(tiny_a, tiny_b, {}, nullptr), 0);
 }
 
+// Replaces every occurrence of `from` in `doc` with `to`.
+std::string replace_all(std::string doc, const std::string& from,
+                        const std::string& to) {
+  for (size_t at = doc.find(from); at != std::string::npos;
+       at = doc.find(from, at + to.size()))
+    doc.replace(at, from.size(), to);
+  return doc;
+}
+
+// A current document dressed up as an older artifact (the committed
+// BENCH_smoke.json among them): a "kernel_backend" header key, a header and
+// per-repeat hardware-counter block, per-worker pool stats with the
+// chunk-backlog high-water mark, and IPC / cache-miss-rate series.  `ipc`
+// differs between the two sides of a diff so an ignored key cannot pass by
+// accident.
+std::string legacy_doc(const BenchSuiteResult& suite, const char* backend,
+                       double ipc) {
+  const std::string ipc_s = std::to_string(ipc);
+  std::string doc = bench_json(suite);
+  doc.insert(1, std::string(R"("kernel_backend":")") + backend +
+                    R"(","counters":{"available":true},)");
+  doc = replace_all(doc, R"("resources":)",
+                    R"("counters":{"available":true,"cycles":2000,)"
+                    R"("instructions":3000,"ipc":)" + ipc_s +
+                        R"(},"resources":)");
+  doc = replace_all(doc, R"("pool":{)",
+                    R"("pool":{"queue_depth_max":4,"workers":[{"tasks":10,)"
+                    R"("busy_sec":0.25},{"tasks":12,"busy_sec":0.25}],)");
+  return replace_all(doc, R"("stats":{)",
+                     R"("stats":{"ipc":{"n":3,"median":)" + ipc_s +
+                         R"(},"cache_miss_rate":{"n":3,"median":0.25},)");
+}
+
 TEST(BenchDiff, ProvenanceMismatchWarnsButNeverGates) {
   BenchSuiteResult old_suite = make_suite(1.0);
   old_suite.threads = 1;
@@ -421,18 +295,34 @@ TEST(BenchDiff, ProvenanceMismatchWarnsButNeverGates) {
   BenchSuiteResult new_suite = make_suite(1.0);
   new_suite.threads = 8;
   new_suite.commit = "bbb2222";
-  EXPECT_FALSE(JsonParser::parse(bench_json(new_suite)).has("kernel_backend"));
-  // Older artifacts (the committed BENCH_smoke.json among them) carry a
-  // "kernel_backend" header key; readers ignore it, even when the two
-  // documents disagree on it.
-  std::string legacy_old = bench_json(old_suite);
-  legacy_old.insert(1, R"("kernel_backend":"scalar",)");
-  std::string legacy_new = bench_json(new_suite);
-  legacy_new.insert(1, R"("kernel_backend":"simd",)");
-  const JsonValue a = JsonParser::parse(legacy_old);
-  const JsonValue b = JsonParser::parse(legacy_new);
+  // Current documents emit none of the legacy keys.
+  const JsonValue current = JsonParser::parse(bench_json(new_suite));
+  EXPECT_FALSE(current.has("kernel_backend"));
+  EXPECT_FALSE(current.has("counters"));
+  const JsonValue& cur_cell = current.at("cells").at(size_t{0});
+  EXPECT_FALSE(cur_cell.at("stats").has("ipc"));
+  EXPECT_FALSE(cur_cell.at("stats").has("cache_miss_rate"));
+  const JsonValue& cur_rep = cur_cell.at("repeats").at(size_t{0});
+  EXPECT_FALSE(cur_rep.has("counters"));
+  EXPECT_FALSE(cur_rep.at("pool").has("workers"));
+  EXPECT_FALSE(cur_rep.at("pool").has("queue_depth_max"));
+  EXPECT_FALSE(JsonParser::parse(bench_history_line(current))
+                   .has("counters_available"));
+
+  // Readers ignore the legacy keys, even when the two documents disagree on
+  // them.
+  const JsonValue a = JsonParser::parse(legacy_doc(old_suite, "scalar", 1.5));
+  const JsonValue b = JsonParser::parse(legacy_doc(new_suite, "simd", 0.5));
   ASSERT_EQ(a.str_or("kernel_backend", ""), "scalar");
-  EXPECT_FALSE(JsonParser::parse(bench_history_line(b)).has("kernel_backend"));
+  ASSERT_TRUE(a.at("counters").at("available").boolean);
+  const JsonValue& legacy_cell = b.at("cells").at(size_t{0});
+  ASSERT_EQ(legacy_cell.at("stats").at("ipc").num_or("median", 0.0), 0.5);
+  ASSERT_TRUE(legacy_cell.at("repeats").at(size_t{0}).has("counters"));
+  ASSERT_EQ(legacy_cell.at("repeats").at(size_t{0}).at("pool").at("workers")
+                .array.size(),
+            2u);
+  // The history line of a legacy document is the current document's line.
+  EXPECT_EQ(bench_history_line(b), bench_history_line(current));
 
   std::FILE* out = std::tmpfile();
   ASSERT_NE(out, nullptr);
@@ -444,6 +334,8 @@ TEST(BenchDiff, ProvenanceMismatchWarnsButNeverGates) {
   EXPECT_NE(text.find("thread counts differ (old 1, new 8)"), std::string::npos)
       << text;
   EXPECT_EQ(text.find("backend"), std::string::npos) << text;
+  EXPECT_EQ(text.find("ipc"), std::string::npos) << text;
+  EXPECT_EQ(text.find("cache_miss_rate"), std::string::npos) << text;
   EXPECT_NE(text.find("commits differ (old aaa1111, new bbb2222)"),
             std::string::npos);
 
@@ -493,16 +385,10 @@ placer::PlaceResult run_small_placement() {
 TEST(ProfIsPureObserver, SamplingLeavesPlacementBitwiseIdentical) {
   const placer::PlaceResult plain = run_small_placement();
 
-  ThreadPool::global().set_timeline_enabled(true);
-  HwCounters hc;
-  hc.start();
   ResourceSampler sampler(/*period_ms=*/5);
   sampler.start();
   const placer::PlaceResult observed = run_small_placement();
   sampler.stop();
-  hc.stop();
-  ThreadPool::global().set_timeline_enabled(false);
-  ThreadPool::global().clear_timeline();
 
   EXPECT_EQ(plain.iterations, observed.iterations);
   EXPECT_EQ(plain.hpwl, observed.hpwl);          // bitwise, not approximate

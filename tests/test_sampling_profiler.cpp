@@ -34,15 +34,14 @@ class SamplingProfilerTest : public ::testing::Test {
   void TearDown() override { Tracer::instance().disable(); }
 };
 
-SamplingProfiler::Options no_counters(double hz = 100.0) {
+SamplingProfiler::Options at_hz(double hz = 100.0) {
   SamplingProfiler::Options o;
   o.hz = hz;
-  o.counters = false;
   return o;
 }
 
 TEST_F(SamplingProfilerTest, EmptyProfileIsWellFormed) {
-  SamplingProfiler prof(no_counters());
+  SamplingProfiler prof(at_hz());
   EXPECT_EQ(prof.ticks(), 0u);
   EXPECT_EQ(prof.samples(), 0u);
   EXPECT_EQ(prof.collapsed(), "");
@@ -56,7 +55,7 @@ TEST_F(SamplingProfilerTest, EmptyProfileIsWellFormed) {
 
 TEST_F(SamplingProfilerTest, IdleTicksCountNoSamples) {
   Tracer::instance().enable_live();
-  SamplingProfiler prof(no_counters());
+  SamplingProfiler prof(at_hz());
   for (int i = 0; i < 5; ++i) prof.sample_now();
   Tracer::instance().disable_live();
   EXPECT_EQ(prof.ticks(), 5u);
@@ -86,7 +85,7 @@ TEST_F(SamplingProfilerTest, FakeClockFoldedStacksAreDeterministic) {
     }
   };
   Tracer::instance().enable_live();
-  SamplingProfiler a(no_counters()), b(no_counters());
+  SamplingProfiler a(at_hz()), b(at_hz());
   run_script(a);
   run_script(b);
   Tracer::instance().disable_live();
@@ -125,7 +124,7 @@ TEST_F(SamplingProfilerTest, FakeClockFoldedStacksAreDeterministic) {
 TEST_F(SamplingProfilerTest, WindowedSummaryDropsOldCheckpoints) {
   // 10 Hz fake clock, 1 s checkpoints: phase A covers t=0.1..3.0, phase B
   // covers t=3.1..6.0.  A 2-second window at t=6.0 must exclude phase A.
-  SamplingProfiler::Options opts = no_counters(10.0);
+  SamplingProfiler::Options opts = at_hz(10.0);
   SamplingProfiler prof(opts);
   Tracer::instance().enable_live();
   {
@@ -161,7 +160,7 @@ TEST_F(SamplingProfilerTest, WindowedSummaryDropsOldCheckpoints) {
 }
 
 TEST_F(SamplingProfilerTest, StartStopLifecycleIsIdempotent) {
-  SamplingProfiler prof(no_counters(500.0));
+  SamplingProfiler prof(at_hz(500.0));
   EXPECT_FALSE(prof.running());
   prof.stop();  // stop before start is a no-op
   prof.start();
@@ -182,7 +181,7 @@ TEST_F(SamplingProfilerTest, StartStopLifecycleIsIdempotent) {
 
 TEST_F(SamplingProfilerTest, WriteArtifactsRoundTrip) {
   Tracer::instance().enable_live();
-  SamplingProfiler prof(no_counters());
+  SamplingProfiler prof(at_hz());
   {
     DTP_PROF_SCOPE("leaf");
     prof.sample_now();
@@ -218,7 +217,7 @@ TEST(SamplingProfilerGolden, PlacementBitwiseIdenticalUnderProfiling) {
     popts.timing_start_iter = 10;
     popts.timing_start_overflow = 1.0;
     placer::GlobalPlacer gp(design, graph, popts);
-    SamplingProfiler prof;  // counters on: the default production setup
+    SamplingProfiler prof;  // the default production setup
     if (profiled) prof.start();
     const placer::PlaceResult res = gp.run();
     if (profiled) prof.stop();

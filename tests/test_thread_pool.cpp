@@ -16,6 +16,14 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   std::vector<std::atomic<int>> hits(1000);
   pool.parallel_for(0, hits.size(), [&](size_t i) { ++hits[i]; }, /*grain=*/8);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // One dispatch of 4 x 4 chunks (63 items each), all run by workers; the
+  // dispatcher returns only after every chunk's accounting is done.
+  const ThreadPoolStats s = pool.stats();
+  EXPECT_EQ(s.parallel_for_calls, 1u);
+  EXPECT_EQ(s.inline_ranges, 0u);
+  EXPECT_EQ(s.tasks_executed, 16u);
+  EXPECT_GT(s.busy_sec, 0.0);
+  EXPECT_LE(s.utilization(), 1.0);
 }
 
 TEST(ThreadPool, EmptyRangeIsNoop) {
@@ -33,6 +41,10 @@ TEST(ThreadPool, SmallRangeRunsInline) {
   pool.parallel_for(0, 3, [&](size_t i) { ids[i] = std::this_thread::get_id(); },
                     /*grain=*/64);
   for (const auto& id : ids) EXPECT_EQ(id, caller);
+  const ThreadPoolStats s = pool.stats();
+  EXPECT_EQ(s.parallel_for_calls, 1u);
+  EXPECT_EQ(s.inline_ranges, 1u);
+  EXPECT_EQ(s.tasks_executed, 0u);
 }
 
 TEST(ThreadPool, SingleThreadDegradesGracefully) {

@@ -2,10 +2,8 @@
 //
 // Runs a fixed grid of workload × placer-mode cells N times each and emits
 // BENCH_<suite>.json (schema dtp.bench.v1): min/median/p95/stddev of wall and
-// process-CPU time per cell and per kernel phase, grouped hardware counters
-// (IPC, cache-miss rate) when perf_event_open is permitted — an explicit
-// available:false record when it is not (containers, CI sandboxes) — plus an
-// OS-resource snapshot and thread-pool utilization per repeat.
+// process-CPU time per cell and per kernel phase, plus an OS-resource
+// snapshot and thread-pool utilization per repeat.
 //
 //   dtp_bench --suite smoke --repeats 3
 //   dtp_report --bench-diff BENCH_smoke.baseline.json BENCH_smoke.json
@@ -15,8 +13,8 @@
 //   --repeats N       timed repeats per cell (default 3)
 //   --out PATH        output path (default BENCH_<suite>.json)
 //   --sample-ms N     resource-sampler period (default 25)
-//   --timeline-out P  JSONL timeline: resource samples, per-worker busy
-//                     spans and pool marks, tagged by cell/repeat
+//   --timeline-out P  JSONL timeline of resource samples, tagged by
+//                     cell/repeat
 //   --profile-hz HZ   sampling-profiler rate for the per-cell "profile"
 //                     block (default 997; 0 disables the profiler)
 //   --list            print the suite grid and exit
@@ -30,12 +28,10 @@
 #include <vector>
 
 #include "common/cli.h"
-#include "common/json_writer.h"
 #include "common/thread_pool.h"
 #include "liberty/synth_library.h"
 #include "obs/jsonl.h"
 #include "obs/prof/bench_json.h"
-#include "obs/prof/hw_counters.h"
 #include "obs/prof/resource_sampler.h"
 #include "obs/prof/sampling_profiler.h"
 #include "placer/global_placer.h"
@@ -100,11 +96,11 @@ workload::WorkloadOptions workload_for(const CellDef& cell) {
   return w;
 }
 
-// One timed repeat: fresh design, samplers attached, counters around gp.run()
-// only (design generation and signoff are not part of the measured kernel).
+// One timed repeat: fresh design, samplers attached around gp.run() only
+// (design generation and signoff are not part of the measured kernel).
 BenchRepeat run_repeat(const liberty::CellLibrary& lib, const CellDef& cell,
-                       obs::prof::HwCounters& counters, int sample_ms,
-                       obs::JsonlWriter* timeline, const std::string& tag) {
+                       int sample_ms, obs::JsonlWriter* timeline,
+                       const std::string& tag) {
   netlist::Design design =
       workload::generate_design(lib, workload_for(cell), cell.name);
   sta::TimingGraph graph(design.netlist);
@@ -120,21 +116,12 @@ BenchRepeat run_repeat(const liberty::CellLibrary& lib, const CellDef& cell,
 
   ThreadPool& pool = ThreadPool::global();
   const ThreadPoolStats pool0 = pool.stats();
-  const std::vector<WorkerStat> workers0 = pool.worker_stats();
-  pool.reset_queue_depth_max();
-  if (timeline != nullptr) {
-    pool.clear_timeline();
-    pool.set_timeline_enabled(true);
-  }
 
   obs::prof::ResourceSampler sampler(sample_ms);
   sampler.start();
-  counters.start();
   const placer::PlaceResult result = gp.run();
-  BenchRepeat rep;
-  rep.counters = counters.stop();
   sampler.stop();
-  if (timeline != nullptr) pool.set_timeline_enabled(false);
+  BenchRepeat rep;
 
   rep.wall_sec = result.runtime_sec;
   rep.cpu_sec = result.cpu_runtime_sec;
@@ -158,41 +145,8 @@ BenchRepeat run_repeat(const liberty::CellLibrary& lib, const CellDef& cell,
   const double elapsed = pool1.lifetime_sec - pool0.lifetime_sec;
   const double capacity = elapsed * static_cast<double>(pool1.num_threads);
   rep.pool_utilization = capacity > 0.0 ? rep.pool_busy_sec / capacity : 0.0;
-  rep.queue_depth_max = pool1.queue_depth_max;
-  const std::vector<WorkerStat> workers1 = pool.worker_stats();
-  for (size_t i = 0; i < workers1.size(); ++i) {
-    WorkerStat delta;
-    delta.tasks = workers1[i].tasks - (i < workers0.size() ? workers0[i].tasks : 0);
-    delta.busy_sec =
-        workers1[i].busy_sec - (i < workers0.size() ? workers0[i].busy_sec : 0.0);
-    rep.workers.push_back(delta);
-  }
 
-  if (timeline != nullptr) {
-    sampler.write_jsonl(*timeline, tag);
-    for (const WorkerSpan& span : pool.timeline()) {
-      JsonWriter w;
-      w.begin_object();
-      w.key("type").value("worker_span");
-      w.key("tag").value(tag);
-      w.key("worker").value(span.worker);
-      w.key("t0_sec").value(span.t0_sec);
-      w.key("t1_sec").value(span.t1_sec);
-      w.end_object();
-      timeline->write_line(w.str());
-    }
-    for (const TimelineMark& m : pool.timeline_marks()) {
-      JsonWriter w;
-      w.begin_object();
-      w.key("type").value("pool_mark");
-      w.key("tag").value(tag);
-      w.key("t_sec").value(m.t_sec);
-      w.key("label").value(m.label);
-      w.end_object();
-      timeline->write_line(w.str());
-    }
-    pool.clear_timeline();
-  }
+  if (timeline != nullptr) sampler.write_jsonl(*timeline, tag);
   return rep;
 }
 
@@ -239,10 +193,6 @@ int main(int argc, char** argv) {
   obs::JsonlWriter* timeline_ptr = timeline.is_open() ? &timeline : nullptr;
 
   const liberty::CellLibrary lib = liberty::make_synthetic_library();
-  obs::prof::HwCounters counters;
-  if (!counters.available())
-    std::fprintf(stderr, "[dtp_bench] hw counters unavailable: %s\n",
-                 counters.unavailable_reason().c_str());
 
   BenchSuiteResult suite_result;
   suite_result.suite = suite;
@@ -250,7 +200,6 @@ int main(int argc, char** argv) {
   suite_result.threads = ThreadPool::global().num_threads();
   suite_result.commit = commit;
   suite_result.label = label;
-  suite_result.counter_probe = counters.read();
 
   for (const CellDef& cell : cells) {
     BenchCell bc;
@@ -261,10 +210,7 @@ int main(int argc, char** argv) {
     // One untimed warm-up so first-touch page faults and lazy pool spin-up
     // do not land in repeat 0's numbers.
     std::fprintf(stderr, "[dtp_bench] %s: warm-up\n", cell.name.c_str());
-    {
-      obs::prof::HwCounters warm_counters;
-      run_repeat(lib, cell, warm_counters, sample_ms, nullptr, {});
-    }
+    run_repeat(lib, cell, sample_ms, nullptr, {});
     // Hot-spot attribution across the cell's timed repeats (the warm-up is
     // excluded).  The profiler only reads the live-span slots, so placement
     // results are untouched; overhead sits inside the <2% acceptance bound.
@@ -277,7 +223,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "[dtp_bench] %s: repeat %d/%d\n", cell.name.c_str(),
                    r + 1, repeats);
       bc.repeats.push_back(
-          run_repeat(lib, cell, counters, sample_ms, timeline_ptr, tag));
+          run_repeat(lib, cell, sample_ms, timeline_ptr, tag));
     }
     if (profile_hz > 0.0) {
       profiler.stop();

@@ -243,28 +243,13 @@ void print_report(const RunData& run) {
   std::printf("\n");
 
   for (const JsonValue& bench : run.benches) {
-    // Counter availability with the recorded reason, so a CI log reads
-    // "counters: unavailable (perf_event_open ... EACCES)" instead of leaving
-    // the reader to guess at sandbox policy.
-    std::string counters = "unavailable";
-    if (bench.has("counters") && bench.at("counters").is_object()) {
-      const JsonValue& c = bench.at("counters");
-      if (c.has("available") && c.at("available").boolean) {
-        counters = "available";
-      } else {
-        const std::string reason = c.str_or("reason", "");
-        if (!reason.empty()) counters += " (" + reason + ")";
-      }
-    }
-    std::printf("\n-- bench suite '%s' (%d repeats, %d threads, counters: %s) "
-                "--\n",
+    std::printf("\n-- bench suite '%s' (%d repeats, %d threads) --\n",
                 bench.str_or("suite", "?").c_str(),
                 static_cast<int>(bench.num_or("repeats", 0.0)),
-                static_cast<int>(bench.num_or("threads", 0.0)),
-                counters.c_str());
+                static_cast<int>(bench.num_or("threads", 0.0)));
     if (!bench.has("cells") || !bench.at("cells").is_array()) continue;
-    std::printf("%-16s %10s %10s %10s %10s %8s\n", "cell", "wall med",
-                "wall p95", "cpu med", "stddev", "ipc");
+    std::printf("%-16s %10s %10s %10s %10s\n", "cell", "wall med",
+                "wall p95", "cpu med", "stddev");
     for (const JsonValue& cell : bench.at("cells").array) {
       if (!cell.has("stats") || !cell.at("stats").is_object()) continue;
       const JsonValue& st = cell.at("stats");
@@ -276,14 +261,9 @@ void print_report(const RunData& run) {
           st.has("wall_sec") ? st.at("wall_sec").num_or("stddev", 0.0) : 0.0;
       const double cpu_med =
           st.has("cpu_sec") ? st.at("cpu_sec").num_or("median", 0.0) : 0.0;
-      std::printf("%-16s %9.3fs %9.3fs %9.3fs %9.4fs",
+      std::printf("%-16s %9.3fs %9.3fs %9.3fs %9.4fs\n",
                   cell.str_or("name", "?").c_str(), wall_med, wall_p95, cpu_med,
                   wall_sd);
-      if (st.has("ipc"))
-        std::printf(" %8.2f", st.at("ipc").num_or("median", 0.0));
-      else
-        std::printf(" %8s", "n/a");
-      std::printf("\n");
     }
   }
 
@@ -439,12 +419,6 @@ void print_profile_table(const JsonValue& p, const std::string& title) {
   const double torn = p.num_or("torn", 0.0);
   if (torn > 0.0) std::printf("  (%.0f torn reads)", torn);
   std::printf("\n");
-  if (p.has("counters") && p.at("counters").is_object()) {
-    const JsonValue& c = p.at("counters");
-    if (!(c.has("available") && c.at("available").boolean))
-      std::printf("counters: unavailable (%s)\n",
-                  c.str_or("reason", "unknown").c_str());
-  }
   if (!p.has("labels") || !p.at("labels").is_array() ||
       p.at("labels").array.empty()) {
     std::printf("no samples attributed (run too short, or spans disabled)\n");
@@ -824,12 +798,7 @@ int run_history(const std::string& hist_path,
     std::printf(" %-10s", commit.empty() ? "-" : commit.substr(0, 10).c_str());
     const std::string label = v.str_or("label", "");
     if (!label.empty()) std::printf(" [%s]", label.c_str());
-    std::printf(" threads %d  counters %s  |",
-                static_cast<int>(v.num_or("threads", 0.0)),
-                v.has("counters_available") &&
-                        v.at("counters_available").boolean
-                    ? "yes"
-                    : "no");
+    std::printf(" threads %d  |", static_cast<int>(v.num_or("threads", 0.0)));
     if (v.has("cells") && v.at("cells").is_array())
       for (const JsonValue& c : v.at("cells").array)
         std::printf("  %s %.3fs", c.str_or("name", "?").c_str(),
