@@ -1,5 +1,6 @@
 #include "dtimer/diff_timer.h"
 
+#include <chrono>
 #include <cmath>
 
 #include "common/assert.h"
@@ -20,25 +21,6 @@ using netlist::NetId;
 using netlist::PinId;
 using sta::Arc;
 using sta::ArcCandidate;
-using sta::LevelStat;
-
-namespace {
-// Live-span labels for the reverse level sweep; the profiler stores the
-// pointer, so these must be string literals (overflow bucket for deep graphs).
-constexpr int kNumBwdLevelLabels = 24;
-const char* const kBwdLevelLabels[kNumBwdLevelLabels] = {
-    "sta_bwd_L0",  "sta_bwd_L1",  "sta_bwd_L2",  "sta_bwd_L3",
-    "sta_bwd_L4",  "sta_bwd_L5",  "sta_bwd_L6",  "sta_bwd_L7",
-    "sta_bwd_L8",  "sta_bwd_L9",  "sta_bwd_L10", "sta_bwd_L11",
-    "sta_bwd_L12", "sta_bwd_L13", "sta_bwd_L14", "sta_bwd_L15",
-    "sta_bwd_L16", "sta_bwd_L17", "sta_bwd_L18", "sta_bwd_L19",
-    "sta_bwd_L20", "sta_bwd_L21", "sta_bwd_L22", "sta_bwd_L23"};
-
-const char* bwd_level_label(int level) {
-  return (level >= 0 && level < kNumBwdLevelLabels) ? kBwdLevelLabels[level]
-                                                    : "sta_bwd_Lhi";
-}
-}  // namespace
 
 DiffTimer::DiffTimer(const netlist::Design& design, const sta::TimingGraph& graph,
                      DiffTimerOptions options)
@@ -46,7 +28,8 @@ DiffTimer::DiffTimer(const netlist::Design& design, const sta::TimingGraph& grap
              sta::TimerOptions{sta::AggMode::Smooth, options.gamma,
                                options.enable_early, options.wire_model,
                                options.rsmt}),
-      options_(options) {}
+      options_(options),
+      bwd_level_profile_(static_cast<size_t>(graph.num_levels())) {}
 
 sta::TimingMetrics DiffTimer::forward(std::span<const double> cell_x,
                                       std::span<const double> cell_y,
@@ -206,16 +189,9 @@ void DiffTimer::backward(double t1, double t2, double h1, double h2,
   const sta::TimingWorkspace::AdjointRecord* records = ws.adjoint.data();
   using Fanin = sta::TimingWorkspace::Fanin;
 
-  static obs::Histogram& bwd_level_hist =
-      obs::MetricsRegistry::instance().histogram("dtimer.bwd_level_ms");
-  if (profile_levels_ &&
-      bwd_level_profile_.size() < static_cast<size_t>(graph.num_levels()))
-    bwd_level_profile_.resize(static_cast<size_t>(graph.num_levels()));
-  Stopwatch level_clock;
-
+  DTP_PROF_SCOPE("sta_bwd_levels");
   for (int l = graph.num_levels() - 1; l >= 0; --l) {
-    DTP_PROF_SCOPE(bwd_level_label(l));
-    if (profile_levels_) level_clock.reset();
+    const auto level_start = std::chrono::steady_clock::now();
     const size_t level_end =
         static_cast<size_t>(level_offsets[static_cast<size_t>(l) + 1]);
     for (size_t i = static_cast<size_t>(level_offsets[static_cast<size_t>(l)]);
@@ -394,13 +370,7 @@ void DiffTimer::backward(double t1, double t2, double h1, double h2,
         }
       }
     }
-    if (profile_levels_) {
-      const double ms = level_clock.elapsed_ms();
-      LevelStat& stat = bwd_level_profile_[static_cast<size_t>(l)];
-      ++stat.calls;
-      stat.ms += ms;
-      bwd_level_hist.observe(ms);
-    }
+    bwd_level_profile_[static_cast<size_t>(l)].add_since(level_start);
   }
 
   // Post-sweep activity scan: the AT/slew adjoint planes are final here

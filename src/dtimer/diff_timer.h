@@ -116,21 +116,11 @@ class DiffTimer {
   // backward() — the health signal behind graceful timing degradation.
   size_t last_backward_nonfinite() const { return last_backward_nonfinite_; }
 
-  // Per-level kernel profiling (DESIGN.md §8): enables the wrapped timer's
-  // forward-dispatch timing and, additionally, times each topological level
-  // of the adjoint sweep.  Pure observation — gradients are identical with
-  // profiling on or off.
-  void set_level_profiling(bool on) {
-    profile_levels_ = on;
-    timer_.set_level_profiling(on);
-  }
-  // Indexed by topological level, accumulated across backward() calls.
+  // Per-level kernel profile of the adjoint sweep (DESIGN.md §8), indexed by
+  // topological level and accumulated across backward() calls.  Always on and
+  // sized at construction; the forward counterpart is timer().level_profile().
   const std::vector<sta::LevelStat>& backward_level_profile() const {
     return bwd_level_profile_;
-  }
-  void reset_level_profiles() {
-    bwd_level_profile_.clear();
-    timer_.reset_level_profile();
   }
 
   // Timing-activity tracking (DESIGN.md §11): attaches the tracker to the
@@ -149,7 +139,6 @@ class DiffTimer {
   robust::FaultInjector* fault_injector_ = nullptr;
   int fault_tick_ = 0;
   size_t last_backward_nonfinite_ = 0;
-  bool profile_levels_ = false;
   std::vector<sta::LevelStat> bwd_level_profile_;
   obs::ActivityTracker* activity_ = nullptr;
 };

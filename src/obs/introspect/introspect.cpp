@@ -51,15 +51,16 @@ void IntrospectionSink::write_grad_attribution(int iter,
 namespace {
 
 void level_profile_array(JsonWriter& w, const char* key,
-                         std::span<const size_t> level_sizes,
+                         std::span<const int> level_offsets,
                          std::span<const sta::LevelStat> stats) {
   w.key(key).begin_array();
   for (size_t l = 0; l < stats.size(); ++l) {
-    if (stats[l].calls == 0) continue;  // level never dispatched (or profiled)
+    if (stats[l].calls == 0) continue;  // level never swept
     w.begin_object();
     w.key("level").value(static_cast<uint64_t>(l));
-    if (l < level_sizes.size())
-      w.key("pins").value(static_cast<uint64_t>(level_sizes[l]));
+    if (l + 1 < level_offsets.size())
+      w.key("pins").value(
+          static_cast<uint64_t>(level_offsets[l + 1] - level_offsets[l]));
     w.key("calls").value(stats[l].calls);
     w.key("ms").value(stats[l].ms);
     w.end_object();
@@ -70,7 +71,7 @@ void level_profile_array(JsonWriter& w, const char* key,
 }  // namespace
 
 void IntrospectionSink::write_kernel_profile(
-    int iter, std::span<const size_t> level_sizes,
+    int iter, std::span<const int> level_offsets,
     std::span<const sta::LevelStat> forward,
     std::span<const sta::LevelStat> backward) {
   if (!is_open() || (forward.empty() && backward.empty())) return;
@@ -80,8 +81,8 @@ void IntrospectionSink::write_kernel_profile(
   w.key("design").value(design_);
   w.key("mode").value(mode_);
   w.key("iter").value(iter);
-  level_profile_array(w, "forward", level_sizes, forward);
-  level_profile_array(w, "backward", level_sizes, backward);
+  level_profile_array(w, "forward", level_offsets, forward);
+  level_profile_array(w, "backward", level_offsets, backward);
   finish_record(w);
 }
 

@@ -8,7 +8,8 @@
 //   {"type":"grad_attrib", ...}     wirelength/density/timing decomposition
 //                                   of the descent gradient + top-M cells
 //   {"type":"kernel_profile", ...}  accumulated per-topological-level wall
-//                                   clock of the forward/backward sweeps
+//                                   clock of the forward/backward sweeps, as
+//                                   the timers always record it
 //
 // Records carry design/mode/iter so multiple runs can share a stream, and
 // lines are flushed as written (JsonlWriter), so a crashed run's stream stays
@@ -64,10 +65,11 @@ class IntrospectionSink {
                               const netlist::Netlist& nl,
                               const std::string& trigger = {});
 
-  // Writes the accumulated per-level kernel profile.  `level_sizes[l]` is the
-  // pin count of level l (pass empty if unknown); forward/backward spans may
-  // be empty when the corresponding sweep has not run yet.
-  void write_kernel_profile(int iter, std::span<const size_t> level_sizes,
+  // Writes the accumulated per-level kernel profile.  `level_offsets` is the
+  // timing graph's CSR level slicing (level l has offsets[l+1] - offsets[l]
+  // pins; pass empty if unknown); levels with zero calls are omitted, and
+  // forward/backward spans may be empty when no timer has swept yet.
+  void write_kernel_profile(int iter, std::span<const int> level_offsets,
                             std::span<const sta::LevelStat> forward,
                             std::span<const sta::LevelStat> backward);
 

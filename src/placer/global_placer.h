@@ -27,6 +27,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dtimer/diff_timer.h"
@@ -144,10 +145,12 @@ struct GlobalPlacerOptions {
 
   // Timing introspection (DESIGN.md §8): when `introspect_sink` points to an
   // open sink, the run emits path / grad_attrib / kernel_profile records every
-  // `introspect.sample_period` iterations (and once at run end).  Robust-layer
-  // decisions additionally force an off-cadence attribution record tagged with
-  // the trigger.  The sink is a pure observer — positions are bitwise-
-  // identical with it attached or not (asserted by tests/test_introspect.cpp).
+  // `introspect.sample_period` iterations (and once at run end).  The
+  // kernel_profile record copies the timers' always-on per-level record, so
+  // attaching the sink changes neither the sweep schedule nor the positions
+  // (both asserted by tests/test_introspect.cpp).  Robust-layer decisions
+  // additionally force an off-cadence attribution record tagged with the
+  // trigger.
   obs::IntrospectOptions introspect;
   obs::IntrospectionSink* introspect_sink = nullptr;  // not owned
 
@@ -208,7 +211,8 @@ struct IterationLog {
 };
 
 // Where the placement run's wall clock went, in seconds: the per-phase
-// milliseconds of the run's own `history`, summed.
+// milliseconds of the run's own `history`, summed, plus the remainder no
+// phase books.
 // The *_cpu_sec twins are process CPU time (all threads) over the same span,
 // so cpu/wall per phase shows which kernels actually parallelize.
 struct PhaseBreakdown {
@@ -218,6 +222,9 @@ struct PhaseBreakdown {
   double sta_forward_sec = 0.0;
   double sta_backward_sec = 0.0;
   double step_sec = 0.0;
+  // runtime_sec minus the six wall phases above: guards, observers, the
+  // exact-STA probe, HPWL bookkeeping and pool wake-ups between kernels.
+  double unattributed_sec = 0.0;
   double wirelength_cpu_sec = 0.0;
   double density_cpu_sec = 0.0;
   double rsmt_cpu_sec = 0.0;
@@ -234,7 +241,7 @@ struct PlaceResult {
   double overflow = 0.0;
   double runtime_sec = 0.0;
   double cpu_runtime_sec = 0.0; // process CPU time (all threads) for run()
-  double sta_runtime_sec = 0.0; // time inside timing forward/backward
+  double sta_runtime_sec = 0.0; // phases.rsmt + sta_forward + sta_backward
   PhaseBreakdown phases;
   std::vector<IterationLog> history;
   // Fault-tolerance outcome (DESIGN.md §7): Ok when no fault was ever seen,
@@ -258,8 +265,28 @@ class GlobalPlacer {
   WirelengthModel& wirelength() { return *wl_; }
 
  private:
+  struct RunState;  // everything one run() owns (global_placer.cpp)
+
   int auto_bins() const;
   void update_wl_gamma(double overflow);
+
+  // Descent steps of run(), in the order they execute.
+  int begin_run(RunState& s);  // scratch, resume, sinks; returns the start
+                               // iter, or -1 when no cell can move
+  bool poll_control(RunState& s, int iter);  // true: stop before `iter`
+  bool handle_fault(RunState& s, int iter, const char* kind,
+                    std::string detail);  // false: abort the run
+  void capture_checkpoint(RunState& s, int iter);
+  void scrub_state(RunState& s);
+  // Fills the timing gradient (or re-weights nets) for this iteration;
+  // returns true when net weights changed.
+  bool timing_forces(RunState& s, int iter, IterationLog& log);
+  void diff_timing_gradient(RunState& s, int iter, IterationLog& log);
+  void report_progress(RunState& s, const IterationLog& log);
+  void emit_attribution(RunState& s, int iter, const std::string& trigger);
+  void emit_introspection(RunState& s, int iter);
+  void emit_activity(RunState& s, int iter);
+  PlaceResult finish_run(RunState& s, int iter);
 
   netlist::Design* design_;
   const sta::TimingGraph* graph_;

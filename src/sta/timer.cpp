@@ -8,10 +8,8 @@
 
 #include "common/assert.h"
 #include "common/smooth_math.h"
-#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "obs/activity/activity_tracker.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sta/cell_arc_eval.h"
 
@@ -29,23 +27,6 @@ double lookup_override(const std::unordered_map<std::string, double>& overrides,
                        const std::string& key, double fallback) {
   const auto it = overrides.find(key);
   return it == overrides.end() ? fallback : it->second;
-}
-
-// Live-span labels for per-level forward dispatches.  The profiler's live
-// stack stores the pointer, so labels must be string literals — hence a
-// static table with an overflow bucket for very deep graphs.
-constexpr int kNumLevelLabels = 24;
-const char* const kFwdLevelLabels[kNumLevelLabels] = {
-    "sta_fwd_L0",  "sta_fwd_L1",  "sta_fwd_L2",  "sta_fwd_L3",
-    "sta_fwd_L4",  "sta_fwd_L5",  "sta_fwd_L6",  "sta_fwd_L7",
-    "sta_fwd_L8",  "sta_fwd_L9",  "sta_fwd_L10", "sta_fwd_L11",
-    "sta_fwd_L12", "sta_fwd_L13", "sta_fwd_L14", "sta_fwd_L15",
-    "sta_fwd_L16", "sta_fwd_L17", "sta_fwd_L18", "sta_fwd_L19",
-    "sta_fwd_L20", "sta_fwd_L21", "sta_fwd_L22", "sta_fwd_L23"};
-
-const char* fwd_level_label(int level) {
-  return (level >= 0 && level < kNumLevelLabels) ? kFwdLevelLabels[level]
-                                                 : "sta_fwd_Lhi";
 }
 }  // namespace
 
@@ -92,14 +73,15 @@ Timer::Timer(const netlist::Design& design, const TimingGraph& graph,
     const size_t b = static_cast<size_t>(offsets[static_cast<size_t>(l)]);
     const size_t e = static_cast<size_t>(offsets[static_cast<size_t>(l) + 1]);
     if (e - b >= kLevelGrain) {
-      level_groups_.push_back({b, e, /*serial=*/false});
+      level_groups_.push_back({l, l + 1, /*serial=*/false});
     } else if (!level_groups_.empty() && level_groups_.back().serial &&
-               level_groups_.back().end == b) {
-      level_groups_.back().end = e;
+               level_groups_.back().end_level == l) {
+      level_groups_.back().end_level = l + 1;
     } else {
-      level_groups_.push_back({b, e, /*serial=*/true});
+      level_groups_.push_back({l, l + 1, /*serial=*/true});
     }
   }
+  level_profile_.resize(static_cast<size_t>(graph.num_levels()));
 
   // Endpoint required arrival times (late/setup).
   const auto& endpoints = graph.endpoints();
@@ -296,24 +278,26 @@ void Timer::propagate() {
 }
 
 void Timer::sweep_levels(bool early) {
-  if (profile_levels_) {
-    // Per-level dispatches so each level's wall-clock is attributable.
-    for (int l = 1; l < graph_->num_levels(); ++l) propagate_level(l, early);
-    return;
-  }
+  using Clock = std::chrono::steady_clock;
   ThreadPool& pool = ThreadPool::global();
-  const auto pins = graph_->level_pins();
   for (const LevelGroup& g : level_groups_) {
     if (g.serial) {
       DTP_PROF_SCOPE("sta_levels_fused");
       const size_t slot = pool.caller_slot();
-      for (size_t i = g.begin; i < g.end; ++i) update_pin(pins[i], early, slot);
+      for (int l = g.first_level; l < g.end_level; ++l) {
+        const Clock::time_point start = Clock::now();
+        for (const PinId p : graph_->level(l)) update_pin(p, early, slot);
+        level_profile_[static_cast<size_t>(l)].add_since(start);
+      }
     } else {
       DTP_PROF_SCOPE("sta_level_par");
+      const auto pins = graph_->level(g.first_level);
+      const Clock::time_point start = Clock::now();
       pool.parallel_for_slotted(
-          g.begin, g.end,
+          0, pins.size(),
           [&](size_t slot, size_t i) { update_pin(pins[i], early, slot); },
           kLevelGrain);
+      level_profile_[static_cast<size_t>(g.first_level)].add_since(start);
     }
   }
 }
@@ -426,25 +410,6 @@ bool Timer::update_pin(PinId v, bool early, size_t slot) {
     store(vi, agg, slew);
   }
   return changed;
-}
-
-void Timer::propagate_level(int level, bool early) {
-  DTP_PROF_SCOPE(fwd_level_label(level));
-  const auto& pins = graph_->level(level);
-  static obs::Histogram& dispatch_hist =
-      obs::MetricsRegistry::instance().histogram("sta.level_dispatch_ms");
-  Stopwatch clock;
-  ThreadPool::global().parallel_for_slotted(
-      0, pins.size(),
-      [&](size_t slot, size_t i) { update_pin(pins[i], early, slot); },
-      kLevelGrain);
-  const double ms = clock.elapsed_ms();
-  if (level_profile_.size() < static_cast<size_t>(graph_->num_levels()))
-    level_profile_.resize(static_cast<size_t>(graph_->num_levels()));
-  LevelStat& stat = level_profile_[static_cast<size_t>(level)];
-  ++stat.calls;
-  stat.ms += ms;
-  dispatch_hist.observe(ms);
 }
 
 TimingMetrics Timer::evaluate_incremental(std::span<const double> cell_x,

@@ -24,10 +24,12 @@
 // schedule through ThreadPool::parallel_for_slotted — the CPU analogue of the
 // paper's per-level CUDA kernels — with consecutive small levels fused into
 // one serial pass over the flat schedule (same pin order, fewer dispatches).
-// The forward flow — drag path or full tree rebuild — and the slack update
-// are allocation-free at steady state.
+// Each sweep books every level's wall-clock into level_profile() on that one
+// schedule (DESIGN.md §8).  The forward flow — drag path or full tree
+// rebuild — and the slack update are allocation-free at steady state.
 #pragma once
 
+#include <chrono>
 #include <memory>
 #include <span>
 #include <vector>
@@ -55,12 +57,21 @@ struct TimerOptions {
   rsmt::RsmtOptions rsmt;
 };
 
-// Accumulated wall-clock of one topological level's dispatches — the CPU
-// analogue of per-kernel GPU timing (kernel profiling, DESIGN.md §8).  Shared
-// by the forward sweep (Timer) and the adjoint sweep (dtimer::DiffTimer).
+// Accumulated wall-clock of one topological level's sweeps — the CPU
+// analogue of per-kernel GPU timing (kernel profiling, DESIGN.md §8).  Always
+// recorded by the forward sweep (Timer) and the adjoint sweep (DiffTimer).
 struct LevelStat {
-  uint64_t calls = 0;  // level dispatches accumulated
+  uint64_t calls = 0;  // sweeps of this level accumulated
   double ms = 0.0;     // accumulated wall-clock milliseconds
+
+  // Books one sweep that began at `start`: a raw steady_clock read, since a
+  // Stopwatch would also read process CPU time (several times the cost).
+  void add_since(std::chrono::steady_clock::time_point start) {
+    ++calls;
+    ms += std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - start)
+              .count();
+  }
 };
 
 struct TimingMetrics {
@@ -204,18 +215,13 @@ class Timer {
     return ws_->net_pin_caps(n);
   }
 
-  // ---- per-level kernel profiling (DESIGN.md §8) ----
-  // When enabled, every propagate() level dispatch is individually timed and
-  // accumulated per level (and into the registry's sta.level_dispatch_ms
-  // histogram).  Off by default: the disabled path runs the fused-group
-  // schedule instead — profiling never touches timing state, so results are
-  // identical either way.
-  void set_level_profiling(bool on) { profile_levels_ = on; }
-  bool level_profiling() const { return profile_levels_; }
-  // Indexed by topological level; stats accumulate across propagate() calls
-  // until reset_level_profile().  Empty until the first profiled dispatch.
+  // ---- per-level kernel profile (DESIGN.md §8) ----
+  // Wall-clock per topological level of the forward sweeps, accumulated over
+  // every propagate() (late and early corners) for the timer's lifetime.
+  // Always on and sized at construction: a fused serial group times each of
+  // its levels' sub-ranges, a parallel level is timed around its dispatch.
+  // Level 0 (sources) is never swept and stays at zero calls.
   const std::vector<LevelStat>& level_profile() const { return level_profile_; }
-  void reset_level_profile() { level_profile_.clear(); }
 
   // ---- timing-activity tracking (DESIGN.md §11) ----
   // Attaches an activity tracker: after every propagate() the tracker scans
@@ -232,13 +238,12 @@ class Timer {
   // parallel, or a run of consecutive small levels fused into one serial pass
   // over the flat schedule (same per-pin order, fewer dispatches).
   struct LevelGroup {
-    size_t begin = 0;  // flat range into graph().level_pins()
-    size_t end = 0;
+    int first_level = 0;  // levels [first_level, end_level) of the graph
+    int end_level = 0;
     bool serial = false;
   };
 
-  void propagate_level(int level, bool early);  // profiled (unfused) path
-  void sweep_levels(bool early);                // fused-group path
+  void sweep_levels(bool early);
   void init_sources(bool early);
   // Rebuilds net n's Steiner tree at the current pin positions into its
   // forest slot, using the RSMT scratch of dispatch slot `slot`.
@@ -269,7 +274,6 @@ class Timer {
   std::vector<const liberty::Lut*> ep_hold_lut_;
   TimingMetrics metrics_;
 
-  bool profile_levels_ = false;
   std::vector<LevelStat> level_profile_;
   obs::ActivityTracker* activity_ = nullptr;
 };

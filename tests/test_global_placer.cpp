@@ -200,10 +200,18 @@ void expect_phases_from_own_history(uint64_t seed) {
   const double sec[6] = {p.wirelength_sec,  p.density_sec,
                          p.rsmt_sec,        p.sta_forward_sec,
                          p.sta_backward_sec, p.step_sec};
+  double wall = 0.0;
   for (int i = 0; i < 6; ++i) {
     EXPECT_GT(sec[i], 0.0) << "phase " << i;
     EXPECT_DOUBLE_EQ(sec[i], 1e-3 * ms[i]) << "phase " << i;
+    wall += sec[i];
   }
+  // The books close: the wall phases plus the unattributed remainder are the
+  // run's own wall time, and the STA total is derived from the same phases.
+  EXPECT_GE(p.unattributed_sec, 0.0);
+  EXPECT_NEAR(wall + p.unattributed_sec, res.runtime_sec, 1e-9);
+  EXPECT_DOUBLE_EQ(res.sta_runtime_sec,
+                   p.rsmt_sec + p.sta_forward_sec + p.sta_backward_sec);
 }
 
 TEST(GlobalPlacer, PhasesSumOwnHistoryWithRegistryDisabled) {

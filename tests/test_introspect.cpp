@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "liberty/synth_library.h"
 #include "obs/introspect/grad_attrib.h"
 #include "obs/introspect/introspect.h"
@@ -145,16 +146,23 @@ placer::GlobalPlacerOptions introspect_options() {
 }
 
 // The pure-observer guarantee: a run with the sink attached must land on
-// bitwise-identical positions.
+// bitwise-identical positions, and must run the same sweep schedule — the
+// kernel profile it writes times the dispatches an unobserved run makes.
+// With no path records no exact timer is built, so every pool dispatch of
+// the observed run belongs to the descent itself.
 TEST(IntrospectionSink, PlacementBitwiseIdenticalWithSinkAttached) {
   liberty::CellLibrary lib = liberty::make_synthetic_library();
   Design plain = make_design(350, 73, lib);
   Design observed = make_design(350, 73, lib);
+  ThreadPool& pool = ThreadPool::global();
 
+  uint64_t plain_dispatches = 0, observed_dispatches = 0;
   {
     sta::TimingGraph graph(plain.netlist);
     placer::GlobalPlacer gp(plain, graph, introspect_options());
+    const uint64_t before = pool.stats().parallel_for_calls;
     gp.run();
+    plain_dispatches = pool.stats().parallel_for_calls - before;
   }
   {
     IntrospectionSink sink;
@@ -162,11 +170,16 @@ TEST(IntrospectionSink, PlacementBitwiseIdenticalWithSinkAttached) {
     placer::GlobalPlacerOptions o = introspect_options();
     o.introspect_sink = &sink;
     o.introspect.sample_period = 10;
+    o.introspect.paths_topk = 0;
     sta::TimingGraph graph(observed.netlist);
     placer::GlobalPlacer gp(observed, graph, o);
+    const uint64_t before = pool.stats().parallel_for_calls;
     gp.run();
+    observed_dispatches = pool.stats().parallel_for_calls - before;
     EXPECT_GT(sink.records_written(), 0u);
   }
+  EXPECT_GT(plain_dispatches, 0u);
+  EXPECT_EQ(plain_dispatches, observed_dispatches);
   ASSERT_EQ(plain.cell_x.size(), observed.cell_x.size());
   for (size_t c = 0; c < plain.cell_x.size(); ++c) {
     ASSERT_EQ(plain.cell_x[c], observed.cell_x[c]) << "cell " << c;
@@ -222,8 +235,14 @@ TEST(IntrospectionSink, EmitsParseableRecordsMeetingAccounting) {
     } else if (type == "kernel_profile") {
       ++n_kernel;
       EXPECT_TRUE(v.has("forward"));
-      for (const auto& l : v.at("forward").array) {
+      // Every forward sweep visits every non-source level once, so all
+      // levels of one record carry the same call count.
+      const auto& fwd = v.at("forward").array;
+      EXPECT_FALSE(fwd.empty());
+      for (const auto& l : fwd) {
         EXPECT_GE(l.num_or("calls", 0.0), 1.0);
+        EXPECT_EQ(l.num_or("calls", 0.0), fwd.front().num_or("calls", -1.0))
+            << "level " << l.num_or("level", -1.0);
         EXPECT_GE(l.num_or("ms", -1.0), 0.0);
       }
     } else {

@@ -6,7 +6,7 @@
 // snapshot and thread-pool utilization per repeat.
 //
 //   dtp_bench --suite smoke --repeats 3
-//   dtp_report --bench-diff BENCH_smoke.baseline.json BENCH_smoke.json
+//   dtp_report --bench-diff BENCH_before.json BENCH_smoke.json  # same host
 //
 // Flags:
 //   --suite NAME      smoke | small | medium | large (default smoke)
