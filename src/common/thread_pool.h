@@ -1,32 +1,41 @@
-// Fixed-size thread pool with an allocation-free blocking parallel_for.
+// Fixed-size thread pool running allocation-free phased chunk-claiming jobs.
 //
-// This is the CPU substitute for the paper's CUDA kernels (§3.6): every
-// levelized timer kernel, the wirelength gradient, and the density splat are
-// written as parallel_for over a flat index range, mirroring a 1-D CUDA grid.
-// On a 1-core machine the pool degrades to serial execution with near-zero
-// overhead (ranges below a grain threshold never touch the dispatch path).
+// This is the CPU substitute for the paper's levelized CUDA kernels (§3.6).
+// The timer's level sweep is one job whose phases are the levels: the chunks
+// of phase k+1 become claimable only once every chunk of phase k has
+// completed, so a whole sweep costs one wake of the pool instead of one per
+// level (DESIGN.md §10.5).  The RSMT rebuild, the tree drag and the Elmore
+// pass are one-phase jobs.  Callers size jobs by estimated serial work: a
+// job below kMinJobNs runs inline, and a range splits into chunks of at
+// least kMinChunkNs.  Everything else in the placer loop (the WA gradient,
+// the density splat, the adjoint sweep) is serial.
 //
-// Dispatch is a single shared chunk-claiming job (DESIGN.md §10): the caller
-// publishes [begin, end) plus a trampoline function pointer to the body, wakes
-// the workers, and each worker claims chunks with one atomic fetch_add until
-// the range is drained.  parallel_for is a template, so the body is passed by
-// reference through a `const void*` — no std::function, no per-chunk task
-// objects, no queue nodes: the steady-state hot loop performs **zero heap
-// allocations** (the counting-allocator test enforces this).  An epoch counter
-// plus an active-claimer count make the job fields race-free: workers only
-// join a job under the pool mutex, and the dispatcher installs the next job
-// under that mutex only once every claimer has left the claim loop — a worker
-// that woke too late for the previous job (and joined it after it drained)
-// included.
+// A pool of N threads is N-1 workers plus the thread that dispatches: the
+// caller claims chunks like a worker and waits only once every chunk of its
+// job is claimed, or for a phase whose chunks others are running, so N
+// threads run, not N+1.  Chunks are claimed with one atomic fetch_add on a
+// job-wide counter, in phase order; a participant that claims a chunk of a
+// phase that is not open yet waits for it.  There is no fixed-count barrier:
+// any participant may claim any chunk, so the caller alone always finishes
+// the job, whether or not a worker ever wakes.
 //
-// The pool keeps lightweight utilization statistics (dispatch and chunk
-// counts, time chunks waited between dispatch and execution, time workers
-// spent executing) for the observability artifacts: stats() snapshots them,
-// the run-summary JSON embeds them and the flow benchmark reports them.
-// Accounting costs two clock reads per *chunk* (not per iteration), so it
-// stays on even in benchmark builds.
+// Jobs are passed by reference through `const void*` and function pointers:
+// no std::function, no task objects, no queue nodes, so dispatching performs
+// **zero heap allocations** (the counting-allocator test enforces this).
+// Waits spin for at most kSpin, then park on a condition variable; a
+// state change notifies only when someone is parked.  An epoch and an
+// active-joiner count keep the job fields race-free: the dispatcher closes
+// the previous job to late joiners and waits until none is left inside it
+// before it rewrites the fields.
+//
+// The pool keeps utilization statistics (job and chunk counts, time chunks
+// waited between their phase opening and their start, time spent executing
+// chunks) for the observability artifacts: stats() snapshots them, the
+// run-summary JSON embeds them and the flow benchmark reports them.
+// Accounting costs two clock reads per *chunk* (not per item).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -34,6 +43,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -41,63 +51,97 @@
 namespace dtp {
 
 struct ThreadPoolStats {
-  size_t num_threads = 1;
-  uint64_t parallel_for_calls = 0;
-  uint64_t inline_ranges = 0;    // ranges run serially on the caller
-  uint64_t tasks_executed = 0;   // chunks run by workers
-  double queue_wait_sec = 0.0;   // sum of per-chunk dispatch-to-start latency
+  size_t num_threads = 1;        // running threads, the caller included
+  uint64_t parallel_for_calls = 0;  // jobs requested (pooled or inline)
+  uint64_t inline_ranges = 0;    // jobs run serially on the caller
+  uint64_t tasks_executed = 0;   // chunks of pooled jobs, by any participant
+  double queue_wait_sec = 0.0;   // sum of per-chunk phase-open-to-start latency
   double busy_sec = 0.0;         // sum of per-chunk execution time
   double lifetime_sec = 0.0;     // pool age at the time of the snapshot
 
-  // Fraction of worker capacity spent executing chunks since construction.
+  // Fraction of thread capacity spent executing chunks since construction.
   double utilization() const {
     const double capacity = lifetime_sec * static_cast<double>(num_threads);
     return capacity > 0.0 ? busy_sec / capacity : 0.0;
   }
 };
 
+// One phase of a job: the flat index range [begin, end) split into `chunks`
+// contiguous near-equal chunks (clamped to [1, end - begin]).
+struct PoolPhase {
+  size_t begin = 0;
+  size_t end = 0;
+  size_t chunks = 1;
+};
+
 class ThreadPool {
  public:
-  // n_threads == 0 picks hardware_concurrency (at least 1).
+  // Chunks per thread at most: enough to balance uneven chunks.
+  static constexpr size_t kChunksPerThread = 4;
+  // Estimated serial cost of the smallest job worth waking the pool for.
+  // Waking a parked worker and parking it again costs it some 50-70 us of
+  // CPU on a 4-vCPU KVM guest, so a smaller job runs inline (job_chunks).
+  static constexpr double kMinJobNs = 2.0e6;
+  // Estimated serial cost of the smallest chunk worth claiming in a pooled
+  // job; a phase hand-off between running threads costs a few microseconds.
+  static constexpr double kMinChunkNs = 4000.0;
+  // How long a waiting thread spins before it parks.
+  static constexpr std::chrono::nanoseconds kSpin{20000};
+
+  // n_threads == 0 picks hardware_concurrency (at least 1).  A pool of n
+  // threads starts n - 1 workers; the dispatching thread is the n-th.
   explicit ThreadPool(size_t n_threads = 0) : created_(Clock::now()) {
     if (n_threads == 0) {
       n_threads = std::thread::hardware_concurrency();
       if (n_threads == 0) n_threads = 1;
     }
     n_threads_ = n_threads;
-    // With a single worker, run everything inline on the caller thread.
-    if (n_threads_ <= 1) return;
-    workers_.reserve(n_threads_);
-    for (size_t i = 0; i < n_threads_; ++i) {
-      workers_.emplace_back([this, i] { worker_loop(static_cast<uint32_t>(i)); });
+    workers_.reserve(n_threads_ - 1);
+    for (size_t i = 0; i + 1 < n_threads_; ++i) {
+      workers_.emplace_back([this, i] { worker_loop(i); });
     }
   }
 
   ~ThreadPool() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
+    stop_.store(true);
+    wake();
     for (auto& w : workers_) w.join();
   }
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  // Running threads of a job: the workers plus the caller.
   size_t num_threads() const { return n_threads_; }
 
   // Scratch-slot addressing for bodies that need per-thread workspace without
-  // thread_local: workers execute with slot == worker id, inline ranges (and
-  // the caller) use caller_slot().  Size per-slot scratch to num_slots().
-  size_t num_slots() const { return n_threads_ + 1; }
-  size_t caller_slot() const { return n_threads_; }
+  // thread_local: worker w runs its chunks with slot == w, the dispatching
+  // thread (and any inline job) with caller_slot().  Size per-slot scratch to
+  // num_slots().
+  size_t num_slots() const { return n_threads_; }
+  size_t caller_slot() const { return n_threads_ - 1; }
+
+  // Chunk count for one range of a pooled job whose serial cost is estimated
+  // at `work_ns`: chunks of at least kMinChunkNs, at least one and at most
+  // kChunksPerThread per thread.
+  size_t chunks_for(double work_ns) const {
+    const size_t cap = n_threads_ == 1 ? 1 : kChunksPerThread * n_threads_;
+    const double chunks = work_ns / kMinChunkNs;
+    if (chunks < 1.0) return 1;
+    return chunks >= static_cast<double>(cap) ? cap : static_cast<size_t>(chunks);
+  }
+
+  // Chunk count for a one-range job of estimated serial cost `work_ns`:
+  // 1 (run it inline) below kMinJobNs, else chunks_for(work_ns).
+  size_t job_chunks(double work_ns) const {
+    return work_ns < kMinJobNs ? 1 : chunks_for(work_ns);
+  }
 
   ThreadPoolStats stats() const {
     ThreadPoolStats s;
     s.num_threads = n_threads_;
-    s.parallel_for_calls = parallel_for_calls_.load(std::memory_order_relaxed);
-    s.inline_ranges = inline_ranges_.load(std::memory_order_relaxed);
+    s.parallel_for_calls = jobs_.load(std::memory_order_relaxed);
+    s.inline_ranges = inline_jobs_.load(std::memory_order_relaxed);
     s.tasks_executed = tasks_executed_.load(std::memory_order_relaxed);
     s.queue_wait_sec =
         1e-9 * static_cast<double>(queue_wait_ns_.load(std::memory_order_relaxed));
@@ -108,45 +152,49 @@ class ThreadPool {
     return s;
   }
 
-  // Runs body(i) for i in [begin, end). Blocks until all iterations finish.
-  // `grain` is the minimum chunk per dispatch; small ranges run inline.
-  // The body is invoked by reference — no type erasure, no allocation.
-  template <class Body>
-  void parallel_for(size_t begin, size_t end, Body&& body, size_t grain = 64) {
+  // Runs the phases in order: body(slot, k, lo, hi) once for every chunk
+  // [lo, hi) of every phase k, then phase_done(k) once, on the thread that
+  // completed phase k's last chunk, before any chunk of phase k+1 starts.
+  // Blocks until phase_done of the last phase has returned.  A job whose
+  // phases all have one chunk, or that is dispatched from inside a job, runs
+  // inline on the calling thread with body(slot, k, begin, end) per phase:
+  // the thread's slot in a job of this pool, else caller_slot().
+  template <class Body, class PhaseDone>
+  void run_phases(std::span<const PoolPhase> phases, Body&& body,
+                  PhaseDone&& phase_done) {
     using B = std::remove_reference_t<Body>;
-    dispatch(begin, end, grain,
-             [](const void* ctx, size_t lo, size_t hi, size_t) {
-               const B& f = *static_cast<const B*>(ctx);
-               for (size_t i = lo; i < hi; ++i) f(i);
-             },
-             &body);
+    using D = std::remove_reference_t<PhaseDone>;
+    dispatch(phases,
+             {&body,
+              [](const void* ctx, size_t slot, size_t k, size_t lo, size_t hi) {
+                (*static_cast<const B*>(ctx))(slot, k, lo, hi);
+              },
+              &phase_done,
+              [](const void* ctx, size_t k) { (*static_cast<const D*>(ctx))(k); }});
   }
 
-  // parallel_for variant whose body receives a scratch slot: body(slot, i).
-  // slot < num_slots(); a chunk executed by worker w gets slot == w, inline
-  // execution gets caller_slot().  Lets kernels keep per-thread scratch in a
-  // pre-sized workspace array instead of thread_local vectors.
+  // One-phase job: body(slot, i) for i in [begin, end), split into `chunks`.
   template <class Body>
-  void parallel_for_slotted(size_t begin, size_t end, Body&& body,
-                            size_t grain = 64) {
-    using B = std::remove_reference_t<Body>;
-    dispatch(begin, end, grain,
-             [](const void* ctx, size_t lo, size_t hi, size_t slot) {
-               const B& f = *static_cast<const B*>(ctx);
-               for (size_t i = lo; i < hi; ++i) f(slot, i);
-             },
-             &body);
+  void parallel_for(size_t begin, size_t end, size_t chunks, Body&& body) {
+    if (end <= begin) return;
+    const PoolPhase phase{begin, end, chunks};
+    run_phases(
+        std::span<const PoolPhase>(&phase, 1),
+        [&body](size_t slot, size_t, size_t lo, size_t hi) {
+          for (size_t i = lo; i < hi; ++i) body(slot, i);
+        },
+        [](size_t) {});
   }
 
-  // Global pool shared by the timer/placer kernels.  Sized once, on first
-  // use, by DTP_THREADS (a worker count from 1 to kMaxEnvThreads); unset or
-  // any other value keeps hardware_concurrency.
+  // Global pool shared by the timer kernels.  Sized once, on first use, by
+  // DTP_THREADS (a thread count from 1 to kMaxEnvThreads, the caller
+  // included); unset or any other value keeps hardware_concurrency.
   static ThreadPool& global() {
     static ThreadPool pool(threads_from_env(std::getenv("DTP_THREADS")));
     return pool;
   }
 
-  // Parses a DTP_THREADS value: the worker count, or 0 (hardware
+  // Parses a DTP_THREADS value: the thread count, or 0 (hardware
   // concurrency) when `value` is null, empty, not a plain decimal number or
   // outside [1, kMaxEnvThreads].
   static constexpr size_t kMaxEnvThreads = 256;
@@ -163,144 +211,185 @@ class ThreadPool {
 
  private:
   using Clock = std::chrono::steady_clock;
-  using ChunkFn = void (*)(const void*, size_t lo, size_t hi, size_t slot);
 
-  // The one in-flight chunk-claiming job.  Fields are written by the
-  // dispatcher under mutex_ and read by workers that observed the matching
-  // epoch under the same mutex; they stay frozen until every claimer left
-  // (active_ == 0), which the next dispatcher awaits, holding mutex_, before
-  // it rewrites them.
-  struct Job {
-    const void* ctx = nullptr;
-    ChunkFn fn = nullptr;
-    size_t begin = 0;
-    size_t end = 0;
-    size_t step = 1;
-    size_t n_chunks = 0;
-    std::atomic<size_t> next{0};       // next chunk index to claim
-    std::atomic<size_t> remaining{0};  // chunks not yet completed
-    Clock::time_point dispatched;
+  // A job's body and phase hook, type-erased without allocation.
+  struct JobFns {
+    const void* body_ctx;
+    void (*body)(const void*, size_t slot, size_t k, size_t lo, size_t hi);
+    const void* done_ctx;
+    void (*done)(const void*, size_t k);
   };
 
-  void dispatch(size_t begin, size_t end, size_t grain, ChunkFn fn,
-                const void* ctx) {
-    if (end <= begin) return;
-    parallel_for_calls_.fetch_add(1, std::memory_order_relaxed);
-    const size_t n = end - begin;
-    // Inline when serial, small, or nested inside a worker (claiming from the
-    // job a worker is itself part of would deadlock).
-    if (workers_.empty() || n <= grain || tl_in_worker_) {
-      inline_ranges_.fetch_add(1, std::memory_order_relaxed);
-      fn(ctx, begin, end, caller_slot());
+  static size_t chunks_of(const PoolPhase& p) {
+    return std::clamp<size_t>(p.chunks, 1, std::max<size_t>(1, p.end - p.begin));
+  }
+
+  static int64_t now_ns() {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               Clock::now().time_since_epoch())
+        .count();
+  }
+
+  static void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+  }
+
+  void dispatch(std::span<const PoolPhase> phases, const JobFns& fns) {
+    if (phases.empty()) return;
+    jobs_.fetch_add(1, std::memory_order_relaxed);
+    size_t total = 0;
+    for (const PoolPhase& p : phases) total += chunks_of(p);
+    // Inline when serial, when no phase splits, or when nested inside a job
+    // (claiming from the job this thread is itself running would deadlock).
+    // Nested in a job of this pool, the body keeps the thread's own slot,
+    // since the caller slot may be busy on the dispatching thread.
+    if (workers_.empty() || total == phases.size() || tl_pool_ != nullptr) {
+      inline_jobs_.fetch_add(1, std::memory_order_relaxed);
+      const size_t slot = tl_pool_ == this ? tl_slot_ : caller_slot();
+      for (size_t k = 0; k < phases.size(); ++k) {
+        fns.body(fns.body_ctx, slot, k, phases[k].begin, phases[k].end);
+        fns.done(fns.done_ctx, k);
+      }
       return;
     }
     std::lock_guard<std::mutex> dispatch_lock(dispatch_mutex_);
-    const size_t chunks = std::min(n_threads_ * 4, (n + grain - 1) / grain);
-    const size_t step = (n + chunks - 1) / chunks;
-    const size_t n_chunks = (n + step - 1) / step;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      // The previous dispatch returned once its chunks were done, but a worker
-      // that woke late may have joined that drained job since and still be in
-      // run_chunks.  Rewriting job_ under it could let it claim a chunk of
-      // this job before `remaining` is set and lose that chunk's completion.
-      // Workers join only under mutex_, so after this wait none can.
-      if (active_.load(std::memory_order_acquire) != 0) {
-        std::unique_lock<std::mutex> done(done_mutex_);
-        done_cv_.wait(done, [this] {
-          return active_.load(std::memory_order_acquire) == 0;
-        });
-      }
-      job_.ctx = ctx;
-      job_.fn = fn;
-      job_.begin = begin;
-      job_.end = end;
-      job_.step = step;
-      job_.n_chunks = n_chunks;
-      job_.next.store(0, std::memory_order_relaxed);
-      job_.remaining.store(n_chunks, std::memory_order_relaxed);
-      job_.dispatched = Clock::now();
-      ++epoch_;
-    }
-    cv_.notify_all();
-    std::unique_lock<std::mutex> lock(done_mutex_);
-    done_cv_.wait(lock, [this] {
-      return job_.remaining.load(std::memory_order_acquire) == 0 &&
-             active_.load(std::memory_order_acquire) == 0;
-    });
+    // Close the previous job to joiners (odd epoch) and wait for a worker
+    // that joined it late to leave: it may still read the fields rewritten
+    // below.  A worker joins only while the epoch it saw is still current.
+    const uint64_t epoch = epoch_.load();
+    epoch_.store(epoch + 1);
+    await([this] { return active_.load() == 0; });
+    phases_ = phases;
+    fns_ = fns;
+    total_ = total;
+    next_.store(0, std::memory_order_relaxed);
+    done_.store(0, std::memory_order_relaxed);
+    closed_.store(0, std::memory_order_relaxed);
+    opened_ns_.store(now_ns(), std::memory_order_relaxed);
+    epoch_.store(epoch + 2);
+    wake();
+    tl_pool_ = this;
+    tl_slot_ = caller_slot();
+    run_chunks(caller_slot());
+    tl_pool_ = nullptr;
+    // Every chunk is claimed; wait for the ones still running elsewhere.
+    await([this] { return closed_.load() == phases_.size(); });
   }
 
-  void run_chunks(uint32_t worker_id) {
+  // Claims and runs chunks of the current job until none is left.
+  void run_chunks(size_t slot) {
+    size_t k = 0;      // phase of the last claimed chunk
+    size_t first = 0;  // global index of phase k's first chunk
     for (;;) {
-      const size_t c = job_.next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= job_.n_chunks) return;
-      const size_t lo = job_.begin + c * job_.step;
-      const size_t hi = std::min(job_.end, lo + job_.step);
-      const Clock::time_point start = Clock::now();
+      const size_t c = next_.fetch_add(1, std::memory_order_relaxed);
+      if (c >= total_) return;
+      while (c >= first + chunks_of(phases_[k])) first += chunks_of(phases_[k++]);
+      if (closed_.load() < k) await([this, k] { return closed_.load() >= k; });
+      const PoolPhase& p = phases_[k];
+      const size_t n = chunks_of(p);
+      const size_t j = c - first;
+      const size_t len = p.end - p.begin;
+      const int64_t start = now_ns();
       queue_wait_ns_.fetch_add(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              start - job_.dispatched)
-              .count(),
+          static_cast<uint64_t>(std::max<int64_t>(
+              0, start - opened_ns_.load(std::memory_order_relaxed))),
           std::memory_order_relaxed);
-      job_.fn(job_.ctx, lo, hi, worker_id);
-      const Clock::time_point stop = Clock::now();
-      busy_ns_.fetch_add(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
-              .count(),
-          std::memory_order_relaxed);
+      fns_.body(fns_.body_ctx, slot, k, p.begin + len * j / n,
+                p.begin + len * (j + 1) / n);
+      const int64_t stop = now_ns();
+      busy_ns_.fetch_add(static_cast<uint64_t>(stop - start),
+                         std::memory_order_relaxed);
       tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-      if (job_.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Last chunk done; the dispatcher may still wait on active_ == 0.
-        std::lock_guard<std::mutex> lock(done_mutex_);
-        done_cv_.notify_all();
+      if (done_.fetch_add(1) + 1 == first + n) {
+        // Last chunk of phase k: run its hook, then open phase k+1.
+        fns_.done(fns_.done_ctx, k);
+        opened_ns_.store(now_ns(), std::memory_order_relaxed);
+        closed_.store(k + 1);
+        wake();
       }
     }
   }
 
-  void worker_loop(uint32_t worker_id) {
-    tl_in_worker_ = true;
-    uint64_t seen_epoch = 0;
+  void worker_loop(size_t slot) {
+    tl_pool_ = this;  // a dispatch from a chunk body runs inline
+    tl_slot_ = slot;
+    uint64_t seen = 0;
     for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [&] { return stop_ || epoch_ != seen_epoch; });
-        if (stop_) return;
-        seen_epoch = epoch_;
-        // Joining the claim loop is only possible while holding mutex_ with
-        // the current epoch observed — no dispatcher can overwrite job_
-        // until this claimer leaves again (active_ returns to 0).
-        active_.fetch_add(1, std::memory_order_relaxed);
-      }
-      run_chunks(worker_id);
-      if (active_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(done_mutex_);
-        done_cv_.notify_all();
-      }
+      uint64_t epoch = 0;
+      await([&] {
+        epoch = epoch_.load();
+        return stop_.load() || (epoch % 2 == 0 && epoch != seen);
+      });
+      if (stop_.load()) return;
+      seen = epoch;
+      active_.fetch_add(1);
+      if (epoch_.load() == epoch) run_chunks(slot);
+      if (active_.fetch_sub(1) == 1) wake();
     }
+  }
+
+  // Spins up to kSpin for `ready`, then parks until a wake() finds it true.
+  template <class Ready>
+  void await(Ready ready) {
+    if (ready()) return;
+    const Clock::time_point start = Clock::now();
+    for (uint32_t i = 1;; ++i) {
+      cpu_relax();
+      if (ready()) return;
+      if (i % 64 == 0 && Clock::now() - start > kSpin) break;
+    }
+    std::unique_lock<std::mutex> lock(park_mutex_);
+    sleepers_.fetch_add(1);
+    park_cv_.wait(lock, ready);
+    sleepers_.fetch_sub(1);
+  }
+
+  // Called after every state change a parked thread may wait for.  The
+  // sequentially consistent store of that change and the load of sleepers_
+  // pair with the parker's increment and re-check, so no wake is lost.
+  void wake() {
+    if (sleepers_.load() == 0) return;
+    std::lock_guard<std::mutex> lock(park_mutex_);
+    park_cv_.notify_all();
   }
 
   size_t n_threads_ = 1;
   std::vector<std::thread> workers_;
 
-  std::mutex mutex_;                 // guards epoch_/stop_ and job_ install
-  std::condition_variable cv_;       // workers sleep here between jobs
   std::mutex dispatch_mutex_;        // serializes concurrent dispatchers
-  std::mutex done_mutex_;            // completion handshake
-  std::condition_variable done_cv_;
-  Job job_;
-  uint64_t epoch_ = 0;
-  std::atomic<size_t> active_{0};    // workers currently inside run_chunks
-  bool stop_ = false;
-  static thread_local bool tl_in_worker_;
+  std::mutex park_mutex_;            // parking only; never held while running
+  std::condition_variable park_cv_;
+  std::atomic<uint32_t> sleepers_{0};
+  std::atomic<bool> stop_{false};
+
+  // The current job.  The plain fields are written by the dispatcher before
+  // it publishes an even epoch_ and stay frozen while any worker is active_.
+  std::span<const PoolPhase> phases_;
+  JobFns fns_{};
+  size_t total_ = 0;                 // chunks over all phases
+  std::atomic<uint64_t> epoch_{0};   // odd while a job is being installed
+  std::atomic<size_t> active_{0};    // workers that joined the current epoch
+  std::atomic<size_t> next_{0};      // next chunk to claim
+  std::atomic<size_t> done_{0};      // chunks completed
+  std::atomic<size_t> closed_{0};    // phases completed, hooks included
+  std::atomic<int64_t> opened_ns_{0};  // when the newest phase opened
+  // The pool whose job this thread is running chunks of, and its slot there.
+  static thread_local const ThreadPool* tl_pool_;
+  static thread_local size_t tl_slot_;
 
   const Clock::time_point created_;
-  std::atomic<uint64_t> parallel_for_calls_{0};
-  std::atomic<uint64_t> inline_ranges_{0};
+  std::atomic<uint64_t> jobs_{0};
+  std::atomic<uint64_t> inline_jobs_{0};
   std::atomic<uint64_t> tasks_executed_{0};
   std::atomic<uint64_t> queue_wait_ns_{0};
   std::atomic<uint64_t> busy_ns_{0};
 };
 
-inline thread_local bool ThreadPool::tl_in_worker_ = false;
+inline thread_local const ThreadPool* ThreadPool::tl_pool_ = nullptr;
+inline thread_local size_t ThreadPool::tl_slot_ = 0;
 
 }  // namespace dtp

@@ -60,8 +60,9 @@ void publish_counts(const RsmtCounts& counts);
 
 // Working memory of one builder thread for nets of up to `max_pins` pins.
 // The caller stages a net's pins in pts[0, num_pins) before each build; the
-// other buffers are builder-internal.
-struct RsmtScratch {
+// other buffers are builder-internal.  Cache-line aligned, so the counts one
+// thread bumps per tree never share a line with another thread's scratch.
+struct alignas(64) RsmtScratch {
   RsmtScratch() = default;
   RsmtScratch(size_t pin_capacity, const RsmtOptions& opts);
 

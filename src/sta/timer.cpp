@@ -19,9 +19,16 @@ namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr double kPosInf = std::numeric_limits<double>::infinity();
 
-// Levels smaller than this are fused with their neighbours into one serial
-// pass; larger levels get their own parallel dispatch with this grain.
-constexpr size_t kLevelGrain = 64;
+// Estimated serial cost of one unit of work of each pool job, from which the
+// pool decides inline vs pooled (ThreadPool::job_chunks) and how many chunks
+// a range splits into (ThreadPool::chunks_for).  Measured at one thread on
+// the 3k- and 10k-cell flow benchmark designs (Release build, x86-64).  The
+// forward sweep counts a pin plus its fan-in arcs; the tree kernels count
+// the pins of the timing nets.
+constexpr double kSweepNsPerUnit = 80.0;
+constexpr double kBuildNsPerPin = 480.0;
+constexpr double kDragNsPerPin = 10.0;
+constexpr double kElmoreNsPerPin = 42.0;
 
 double lookup_override(const std::unordered_map<std::string, double>& overrides,
                        const std::string& key, double fallback) {
@@ -64,24 +71,37 @@ Timer::Timer(const netlist::Design& design, const TimingGraph& graph,
     }
   }
 
-  // Fused level schedule (levels 1..L-1): runs of consecutive small levels
-  // become one serial group over the contiguous flat schedule — serial
-  // execution in flat (level-major, pin-ascending) order is exactly the
-  // per-level order, since update_pin only reads strictly lower levels.
+  // Fused level schedule (levels 1..L-1), one pool phase per group: a level
+  // worth splitting is a phase of its own, and runs of consecutive levels
+  // that are not become one single-chunk phase over the contiguous flat
+  // schedule — serial execution in flat (level-major, pin-ascending) order is
+  // exactly the per-level order, since update_pin only reads strictly lower
+  // levels.  A sweep too small to pool is one serial phase, run inline.
+  const ThreadPool& pool = ThreadPool::global();
   const auto offsets = graph.level_offsets();
+  auto level_work_ns = [&](int l) {
+    size_t work = graph.level(l).size();
+    for (const PinId p : graph.level(l)) work += graph.fanin(p).size();
+    return kSweepNsPerUnit * static_cast<double>(work);
+  };
+  double sweep_ns = 0.0;
+  for (int l = 1; l < graph.num_levels(); ++l) sweep_ns += level_work_ns(l);
+  const bool pooled_sweep = pool.job_chunks(sweep_ns) > 1;
   for (int l = 1; l < graph.num_levels(); ++l) {
     const size_t b = static_cast<size_t>(offsets[static_cast<size_t>(l)]);
     const size_t e = static_cast<size_t>(offsets[static_cast<size_t>(l) + 1]);
-    if (e - b >= kLevelGrain) {
-      level_groups_.push_back({l, l + 1, /*serial=*/false});
-    } else if (!level_groups_.empty() && level_groups_.back().serial &&
-               level_groups_.back().end_level == l) {
+    const size_t chunks = pooled_sweep ? pool.chunks_for(level_work_ns(l)) : 1;
+    if (chunks == 1 && !sweep_phases_.empty() && sweep_phases_.back().chunks == 1) {
       level_groups_.back().end_level = l + 1;
+      sweep_phases_.back().end = e;
     } else {
-      level_groups_.push_back({l, l + 1, /*serial=*/true});
+      level_groups_.push_back({l, l + 1});
+      sweep_phases_.push_back({b, e, chunks});
     }
   }
   level_profile_.resize(static_cast<size_t>(graph.num_levels()));
+  for (const NetId n : graph.timing_nets())
+    timing_net_pins_ += static_cast<double>(nl.net(n).pins.size());
 
   // Endpoint required arrival times (late/setup).
   const auto& endpoints = graph.endpoints();
@@ -192,9 +212,9 @@ void Timer::publish_rsmt_counts() {
 void Timer::build_trees() {
   DTP_TRACE_SCOPE("rsmt_build_trees");
   const auto& nets = graph_->timing_nets();
-  ThreadPool::global().parallel_for_slotted(
-      0, nets.size(), [&](size_t slot, size_t i) { rebuild_tree(nets[i], slot); },
-      /*grain=*/8);
+  ThreadPool& pool = ThreadPool::global();
+  pool.parallel_for(0, nets.size(), pool.job_chunks(kBuildNsPerPin * timing_net_pins_),
+                    [&](size_t slot, size_t i) { rebuild_tree(nets[i], slot); });
   publish_rsmt_counts();
   trees_built_ = true;
 }
@@ -204,9 +224,10 @@ void Timer::drag_trees() {
   DTP_ASSERT_MSG(trees_built_, "drag_trees requires build_trees first");
   const netlist::Netlist& nl = design_->netlist;
   const auto& nets = graph_->timing_nets();
-  ThreadPool::global().parallel_for(
-      0, nets.size(),
-      [&](size_t i) {
+  ThreadPool& pool = ThreadPool::global();
+  pool.parallel_for(
+      0, nets.size(), pool.job_chunks(kDragNsPerPin * timing_net_pins_),
+      [&](size_t, size_t i) {
         const NetId n = nets[i];
         const netlist::Net& net = nl.net(n);
         // In-place drag (paper §3.6): pin nodes take the fresh pin positions,
@@ -221,22 +242,21 @@ void Timer::drag_trees() {
           node.pos.x = t.nodes[static_cast<size_t>(node.x_src)].pos.x;
           node.pos.y = t.nodes[static_cast<size_t>(node.y_src)].pos.y;
         }
-      },
-      /*grain=*/32);
+      });
 }
 
 void Timer::run_elmore() {
   DTP_TRACE_SCOPE("elmore_forward");
   const netlist::Constraints& con = design_->constraints;
   const auto& nets = graph_->timing_nets();
-  ThreadPool::global().parallel_for(
-      0, nets.size(),
-      [&](size_t i) {
-        const NetId n = nets[i];
-        elmore_forward(ws_->net_view(n), ws_->net_pin_caps(n), con.wire_res,
-                       con.wire_cap, options_.wire_model);
-      },
-      /*grain=*/32);
+  ThreadPool& pool = ThreadPool::global();
+  pool.parallel_for(0, nets.size(), pool.job_chunks(kElmoreNsPerPin * timing_net_pins_),
+                    [&](size_t, size_t i) {
+                      const NetId n = nets[i];
+                      elmore_forward(ws_->net_view(n), ws_->net_pin_caps(n),
+                                     con.wire_res, con.wire_cap,
+                                     options_.wire_model);
+                    });
 }
 
 void Timer::init_sources(bool early) {
@@ -278,28 +298,34 @@ void Timer::propagate() {
 }
 
 void Timer::sweep_levels(bool early) {
+  // One pool job per corner, one phase per level group.  A serial group times
+  // each of its levels; a split level is timed by the hook that runs when its
+  // last chunk is done, from the moment the previous phase closed.
   using Clock = std::chrono::steady_clock;
-  ThreadPool& pool = ThreadPool::global();
-  for (const LevelGroup& g : level_groups_) {
-    if (g.serial) {
-      DTP_PROF_SCOPE("sta_levels_fused");
-      const size_t slot = pool.caller_slot();
-      for (int l = g.first_level; l < g.end_level; ++l) {
-        const Clock::time_point start = Clock::now();
-        for (const PinId p : graph_->level(l)) update_pin(p, early, slot);
-        level_profile_[static_cast<size_t>(l)].add_since(start);
-      }
-    } else {
-      DTP_PROF_SCOPE("sta_level_par");
-      const auto pins = graph_->level(g.first_level);
-      const Clock::time_point start = Clock::now();
-      pool.parallel_for_slotted(
-          0, pins.size(),
-          [&](size_t slot, size_t i) { update_pin(pins[i], early, slot); },
-          kLevelGrain);
-      level_profile_[static_cast<size_t>(g.first_level)].add_since(start);
-    }
-  }
+  const std::span<const PinId> pins = graph_->level_pins();
+  Clock::time_point mark = Clock::now();
+  ThreadPool::global().run_phases(
+      sweep_phases_,
+      [&](size_t slot, size_t k, size_t lo, size_t hi) {
+        if (sweep_phases_[k].chunks > 1) {
+          DTP_PROF_SCOPE("sta_level_par");
+          for (size_t i = lo; i < hi; ++i) update_pin(pins[i], early, slot);
+          return;
+        }
+        DTP_PROF_SCOPE("sta_levels_fused");
+        const LevelGroup& g = level_groups_[k];
+        for (int l = g.first_level; l < g.end_level; ++l) {
+          const Clock::time_point start = Clock::now();
+          for (const PinId p : graph_->level(l)) update_pin(p, early, slot);
+          level_profile_[static_cast<size_t>(l)].add_since(start);
+        }
+      },
+      [&](size_t k) {
+        if (sweep_phases_[k].chunks > 1)
+          level_profile_[static_cast<size_t>(level_groups_[k].first_level)]
+              .add_since(mark);
+        mark = Clock::now();
+      });
 }
 
 bool Timer::update_pin(PinId v, bool early, size_t slot) {

@@ -20,12 +20,13 @@
 // All mutable state lives in a TimingWorkspace (DESIGN.md §10): flat
 // [pin*2 + transition] sweep arrays, the Steiner forest + per-node net arenas,
 // the cell-arc candidate cache the forward sweep fills and the backward/RAT
-// sweeps reuse, and per-slot scratch.  Level sweeps dispatch the CSR level
-// schedule through ThreadPool::parallel_for_slotted — the CPU analogue of the
-// paper's per-level CUDA kernels — with consecutive small levels fused into
-// one serial pass over the flat schedule (same pin order, fewer dispatches).
-// Each sweep books every level's wall-clock into level_profile() on that one
-// schedule (DESIGN.md §8).  The forward flow — drag path or full tree
+// sweeps reuse, and per-slot scratch.  A level sweep is one phased
+// ThreadPool job over the CSR level schedule — the CPU analogue of the
+// paper's per-level CUDA kernels, without a relaunch per level: each level
+// worth splitting is a phase of chunks, and consecutive small levels fuse
+// into one serial chunk over the flat schedule (same pin order).  Each sweep
+// books every level's wall-clock into level_profile() on that one schedule
+// (DESIGN.md §8).  The forward flow — drag path or full tree
 // rebuild — and the slack update are allocation-free at steady state.
 #pragma once
 
@@ -34,6 +35,7 @@
 #include <span>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "common/vec2.h"
 #include "netlist/netlist.h"
 #include "rsmt/rsmt_builder.h"
@@ -219,7 +221,8 @@ class Timer {
   // Wall-clock per topological level of the forward sweeps, accumulated over
   // every propagate() (late and early corners) for the timer's lifetime.
   // Always on and sized at construction: a fused serial group times each of
-  // its levels' sub-ranges, a parallel level is timed around its dispatch.
+  // its levels' sub-ranges, a split level from the close of the previous
+  // phase of the sweep job to the end of its own last chunk.
   // Level 0 (sources) is never swept and stays at zero calls.
   const std::vector<LevelStat>& level_profile() const { return level_profile_; }
 
@@ -234,13 +237,13 @@ class Timer {
   obs::ActivityTracker* activity_tracker() const { return activity_; }
 
  private:
-  // One batch of the level schedule: either a single large level dispatched in
-  // parallel, or a run of consecutive small levels fused into one serial pass
-  // over the flat schedule (same per-pin order, fewer dispatches).
+  // One phase of the level sweep: either a single level split into chunks,
+  // or a run of consecutive small levels fused into one serial chunk over the
+  // flat schedule (same per-pin order).  sweep_phases_[k] holds group k's
+  // flat pin range and chunk count (1 = serial).
   struct LevelGroup {
     int first_level = 0;  // levels [first_level, end_level) of the graph
     int end_level = 0;
-    bool serial = false;
   };
 
   void sweep_levels(bool early);
@@ -262,6 +265,8 @@ class Timer {
   std::unique_ptr<TimingWorkspace> ws_;
   bool trees_built_ = false;
   std::vector<LevelGroup> level_groups_;
+  std::vector<PoolPhase> sweep_phases_;
+  double timing_net_pins_ = 0.0;  // work estimate of the per-net kernels
 
   std::vector<double> endpoint_slack_;
   std::vector<double> endpoint_tr_weights_;

@@ -46,8 +46,10 @@
 namespace dtp::sta {
 
 // Per-dispatch-slot scratch for the level-parallel kernels (workers use their
-// worker id as slot, inline execution uses the caller slot).
-struct LevelScratch {
+// worker id as slot, the dispatching thread and inline execution the caller
+// slot).  Cache-line aligned: update_pin resizes `values` for every pin, and
+// neighbouring slots must not share the line of that vector's end pointer.
+struct alignas(64) LevelScratch {
   std::vector<ArcCandidate> cands;  // early-corner gathers (late uses the cache)
   std::vector<double> values;
   std::vector<double> weights;

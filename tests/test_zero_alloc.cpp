@@ -17,6 +17,7 @@
 #include <new>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "dtimer/diff_timer.h"
 #include "liberty/synth_library.h"
 #include "obs/activity/activity_tracker.h"
@@ -270,6 +271,35 @@ TEST(ZeroAlloc, WirelengthSteadyStateIsAllocationFree) {
                                   << round;
   }
   EXPECT_GT(sink, 0.0);
+}
+
+TEST(ZeroAlloc, PhasedPoolJobIsAllocationFree) {
+  // A phased job on the global pool (pooled at DTP_THREADS > 1, inline at 1):
+  // publishing it, claiming chunks, the phase hand-offs, parking and waking
+  // never touch the heap.
+  ThreadPool& pool = ThreadPool::global();
+  std::vector<double> out(4096, 0.0);
+  std::vector<PoolPhase> phases;
+  for (size_t b = 0; b < out.size(); b += 512)
+    phases.push_back({b, b + 512, pool.chunks_for(512 * ThreadPool::kMinChunkNs)});
+  std::vector<int> hooks(phases.size(), 0);
+  auto job = [&] {
+    pool.run_phases(
+        phases,
+        [&](size_t, size_t k, size_t lo, size_t hi) {
+          for (size_t i = lo; i < hi; ++i)
+            out[i] += static_cast<double>(k) + (i > 0 ? 0.0 : 1.0);
+        },
+        [&](size_t k) { ++hooks[k]; });
+  };
+  job();
+  const long before = g_alloc_count.load(std::memory_order_relaxed);
+  for (int round = 0; round < 100; ++round) job();
+  const long after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0L);
+  for (const int h : hooks) EXPECT_EQ(h, 101);
+  EXPECT_EQ(out[0], 101.0);
+  EXPECT_EQ(out[4095], 101.0 * 7.0);
 }
 
 }  // namespace
