@@ -90,11 +90,12 @@ int main(int argc, char** argv) {
               m.tns, res.hpwl, res.iterations);
   std::printf("GP phase breakdown (of %.1f s): wirelength %.2f s, density "
               "%.2f s, rsmt %.2f s, sta fwd %.2f s, sta bwd %.2f s, "
-              "step %.2f s, unattributed %.2f s\n",
+              "step %.2f s, less %.2f s of overlap, unattributed %.2f s\n",
               res.runtime_sec, res.phases.wirelength_sec,
               res.phases.density_sec, res.phases.rsmt_sec,
               res.phases.sta_forward_sec, res.phases.sta_backward_sec,
-              res.phases.step_sec, res.phases.unattributed_sec);
+              res.phases.step_sec, res.phases.overlap_sec,
+              res.phases.unattributed_sec);
 
   const auto lg = placer::legalize(design, design.cell_x, design.cell_y);
   std::printf("post LG : %zu unplaced, max disp %.2f um\n", lg.failed_cells,

@@ -7,8 +7,11 @@
 // level (DESIGN.md §10.5).  The RSMT rebuild, the tree drag and the Elmore
 // pass are one-phase jobs.  Callers size jobs by estimated serial work: a
 // job below kMinJobNs runs inline, and a range splits into chunks of at
-// least kMinChunkNs.  Everything else in the placer loop (the WA gradient,
-// the density splat, the adjoint sweep) is serial.
+// least kMinChunkNs.  In the placer loop, a DiffTiming iteration with timing
+// on is one two-chunk job instead: the timer's forward and adjoint sweeps in
+// one lane, the density and WA wirelength passes in the other, each lane
+// serial, since the timer's own jobs then run nested and so inline
+// (DESIGN.md §10.5).
 //
 // A pool of N threads is N-1 workers plus the thread that dispatches: the
 // caller claims chunks like a worker and waits only once every chunk of its
@@ -18,6 +21,11 @@
 // phase that is not open yet waits for it.  There is no fixed-count barrier:
 // any participant may claim any chunk, so the caller alone always finishes
 // the job, whether or not a worker ever wakes.
+//
+// One job holds the pool at a time.  A thread that dispatches while another
+// thread's job holds it runs its own job inline rather than wait: results
+// are the same, and concurrent placements (dtp_serve) never queue behind a
+// long job.
 //
 // Jobs are passed by reference through `const void*` and function pointers:
 // no std::function, no task objects, no queue nodes, so dispatching performs
@@ -117,7 +125,9 @@ class ThreadPool {
   // Scratch-slot addressing for bodies that need per-thread workspace without
   // thread_local: worker w runs its chunks with slot == w, the dispatching
   // thread (and any inline job) with caller_slot().  Size per-slot scratch to
-  // num_slots().
+  // num_slots().  Slots are unique within one job only: two threads that
+  // dispatch at once may both run as caller_slot(), so per-slot scratch
+  // belongs to the object that dispatches, not to the pool.
   size_t num_slots() const { return n_threads_; }
   size_t caller_slot() const { return n_threads_ - 1; }
 
@@ -158,7 +168,8 @@ class ThreadPool {
   // Blocks until phase_done of the last phase has returned.  A job whose
   // phases all have one chunk, or that is dispatched from inside a job, runs
   // inline on the calling thread with body(slot, k, begin, end) per phase:
-  // the thread's slot in a job of this pool, else caller_slot().
+  // the thread's slot in a job of this pool, else caller_slot().  So does a
+  // job dispatched while another thread's job holds the pool.
   template <class Body, class PhaseDone>
   void run_phases(std::span<const PoolPhase> phases, Body&& body,
                   PhaseDone&& phase_done) {
@@ -243,11 +254,15 @@ class ThreadPool {
     jobs_.fetch_add(1, std::memory_order_relaxed);
     size_t total = 0;
     for (const PoolPhase& p : phases) total += chunks_of(p);
-    // Inline when serial, when no phase splits, or when nested inside a job
-    // (claiming from the job this thread is itself running would deadlock).
-    // Nested in a job of this pool, the body keeps the thread's own slot,
-    // since the caller slot may be busy on the dispatching thread.
-    if (workers_.empty() || total == phases.size() || tl_pool_ != nullptr) {
+    // Inline when serial, when no phase splits, when nested inside a job
+    // (claiming from the job this thread is itself running would deadlock),
+    // or when another thread's job holds the pool (waiting for it would
+    // stall this job for that job's whole run).  Nested in a job of this
+    // pool, the body keeps the thread's own slot, since the caller slot may
+    // be busy on the dispatching thread.
+    std::unique_lock<std::mutex> dispatch_lock(dispatch_mutex_, std::defer_lock);
+    if (workers_.empty() || total == phases.size() || tl_pool_ != nullptr ||
+        !dispatch_lock.try_lock()) {
       inline_jobs_.fetch_add(1, std::memory_order_relaxed);
       const size_t slot = tl_pool_ == this ? tl_slot_ : caller_slot();
       for (size_t k = 0; k < phases.size(); ++k) {
@@ -256,7 +271,6 @@ class ThreadPool {
       }
       return;
     }
-    std::lock_guard<std::mutex> dispatch_lock(dispatch_mutex_);
     // Close the previous job to joiners (odd epoch) and wait for a worker
     // that joined it late to leave: it may still read the fields rewritten
     // below.  A worker joins only while the epoch it saw is still current.
@@ -360,7 +374,7 @@ class ThreadPool {
   size_t n_threads_ = 1;
   std::vector<std::thread> workers_;
 
-  std::mutex dispatch_mutex_;        // serializes concurrent dispatchers
+  std::mutex dispatch_mutex_;        // held by the dispatcher of a pooled job
   std::mutex park_mutex_;            // parking only; never held while running
   std::condition_variable park_cv_;
   std::atomic<uint32_t> sleepers_{0};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <span>
@@ -10,6 +11,7 @@
 
 #include "common/logger.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "robust/validate.h"
@@ -171,9 +173,8 @@ struct GlobalPlacer::RunState {
   double last_wns = 0.0, last_tns = 0.0;
   bool seen_timing = false;
 
-  // Phase CPU seconds accumulate in result.phases as the loop runs; wall ms
-  // are summed from result.history after it.
-  Stopwatch phase_clock;
+  // Phase CPU seconds and the lanes' overlap accumulate in result.phases as
+  // the loop runs; wall ms are summed from result.history after it.
   PlaceResult result;
 };
 
@@ -224,59 +225,32 @@ PlaceResult GlobalPlacer::run() {
     IterationLog log;
     log.iter = iter;
 
-    // ---- density field + overflow ----
-    s.phase_clock.reset();
-    const DensityStats ds = density_->update(x, y);
-    log.density_ms = s.phase_clock.elapsed_ms();
-    s.result.phases.density_cpu_sec += s.phase_clock.cpu_elapsed_sec();
-    update_wl_gamma(ds.overflow);
-
-    // ---- wirelength gradient ----
-    s.phase_clock.reset();
-    std::fill(s.g_wl_x.begin(), s.g_wl_x.end(), 0.0);
-    std::fill(s.g_wl_y.begin(), s.g_wl_y.end(), 0.0);
-    wl_->value_and_gradient(x, y, s.g_wl_x, s.g_wl_y);
-    log.wl_grad_ms = s.phase_clock.elapsed_ms();
-    s.result.phases.wirelength_cpu_sec += s.phase_clock.cpu_elapsed_sec();
-
-    // ---- density gradient (lambda-scaled inside) ----
-    s.phase_clock.reset();
-    std::fill(s.g_den_x.begin(), s.g_den_x.end(), 0.0);
-    std::fill(s.g_den_y.begin(), s.g_den_y.end(), 0.0);
-    if (s.lambda == 0.0) {
-      // Initialize lambda so density force starts as a fixed fraction of the
-      // wirelength force (ePlace's initialization).
-      density_->add_gradient(x, y, 1.0, s.g_den_x, s.g_den_y);
-      const double wl_norm = l1(s.g_wl_x, s.g_wl_y);
-      const double den_norm = l1(s.g_den_x, s.g_den_y);
-      s.lambda = den_norm > 1e-30
-                     ? options_.lambda_init_ratio * wl_norm / den_norm
-                     : 1.0;
-      for (size_t c = 0; c < n; ++c) {
-        s.g_den_x[c] *= s.lambda;
-        s.g_den_y[c] *= s.lambda;
-      }
-    } else {
-      density_->add_gradient(x, y, s.lambda, s.g_den_x, s.g_den_y);
-    }
-    log.density_ms += s.phase_clock.elapsed_ms();
-    s.result.phases.density_cpu_sec += s.phase_clock.cpu_elapsed_sec();
+    // ---- density, wirelength and, once timing is on, the timer beside
+    // them (DESIGN.md §10.5) ----
+    std::fill(s.g_t_x.begin(), s.g_t_x.end(), 0.0);
+    std::fill(s.g_t_y.begin(), s.g_t_y.end(), 0.0);
+    bool suspended = s.timing_active && timing_suspended(s, iter);
+    const bool timed = s.timing_active && !suspended &&
+                       options_.mode == PlacerMode::DiffTiming;
+    if (timed)
+      timing_lanes(s, iter, log);
+    else
+      density_and_wirelength(s, log, CpuClock::Process);
 
     // ---- timing ----
-    log.overflow = ds.overflow;
-    log.lambda = s.lambda;
     if (!s.timing_active && options_.mode != PlacerMode::WirelengthOnly &&
         iter >= options_.timing_start_iter &&
-        ds.overflow <= options_.timing_start_overflow) {
+        log.overflow <= options_.timing_start_overflow) {
       s.timing_active = true;
+      suspended = timing_suspended(s, iter);
       if (options_.verbose)
         DTP_LOG_INFO("timing optimization activated at iter %d (overflow %.3f)",
-                     iter, ds.overflow);
+                     iter, log.overflow);
     }
-    const bool precond_dirty = timing_forces(s, iter, log);
+    const bool precond_dirty = timing_forces(s, iter, log, suspended, timed);
 
     // ---- combine, precondition, mask, step ----
-    s.phase_clock.reset();
+    const Stopwatch step_clock;
     if (precond_dirty) s.precond = wl_->cell_incidence_weights();
     s.combine_lambda = s.lambda;
     for (size_t c = 0; c < n; ++c) {
@@ -315,8 +289,8 @@ PlaceResult GlobalPlacer::run() {
       s.inj->corrupt(robust::FaultSite::Position, iter, x, y);
 
     s.lambda *= options_.lambda_mu;
-    log.step_ms = s.phase_clock.elapsed_ms();
-    s.result.phases.step_cpu_sec += s.phase_clock.cpu_elapsed_sec();
+    log.step_ms = step_clock.elapsed_ms();
+    s.result.phases.step_cpu_sec += step_clock.cpu_elapsed_sec();
 
     iter_count.add();
     h_wl.observe(log.wl_grad_ms);
@@ -330,7 +304,7 @@ PlaceResult GlobalPlacer::run() {
     s.result.history.push_back(log);
     if (options_.verbose && iter % 50 == 0)
       DTP_LOG_INFO("iter %4d  hpwl %.4g  overflow %.3f  lambda %.3g", iter,
-                   log.hpwl, ds.overflow, s.lambda);
+                   log.hpwl, log.overflow, s.lambda);
     report_progress(s, log);
     // Off-cadence attribution forced by a robust-layer decision this
     // iteration, then the regular sampling cadence.
@@ -352,7 +326,7 @@ PlaceResult GlobalPlacer::run() {
     // sharp overflow rebound are both far outside healthy variation) ----
     if (s.guards) {
       const robust::Verdict verdict =
-          s.rc.monitor().observe(log.hpwl, ds.overflow);
+          s.rc.monitor().observe(log.hpwl, log.overflow);
       if (verdict != robust::Verdict::Healthy) {
         emit_attribution(s, iter, "divergence");
         if (!handle_fault(s, iter, "divergence",
@@ -364,7 +338,7 @@ PlaceResult GlobalPlacer::run() {
       }
     }
 
-    if (iter >= options_.min_iters && ds.overflow < options_.stop_overflow) {
+    if (iter >= options_.min_iters && log.overflow < options_.stop_overflow) {
       s.stop_reason = StopReason::Converged;
       break;
     }
@@ -550,20 +524,87 @@ bool GlobalPlacer::handle_fault(RunState& s, int iter, const char* kind,
   return true;
 }
 
-bool GlobalPlacer::timing_forces(RunState& s, int iter, IterationLog& log) {
-  std::fill(s.g_t_x.begin(), s.g_t_x.end(), 0.0);
-  std::fill(s.g_t_y.begin(), s.g_t_y.end(), 0.0);
+bool GlobalPlacer::timing_suspended(RunState& s, int iter) {
+  return (s.guards && s.rc.timing_suspended(iter)) || s.timing_cut;
+}
+
+void GlobalPlacer::density_and_wirelength(RunState& s, IterationLog& log,
+                                          CpuClock cpu) {
+  const auto& x = design_->cell_x;
+  const auto& y = design_->cell_y;
+  Stopwatch clock(cpu);
+  const DensityStats ds = density_->update(x, y);
+  log.density_ms = clock.elapsed_ms();
+  s.result.phases.density_cpu_sec += clock.cpu_elapsed_sec();
+  log.overflow = ds.overflow;
+  update_wl_gamma(ds.overflow);
+
+  clock.reset();
+  std::fill(s.g_wl_x.begin(), s.g_wl_x.end(), 0.0);
+  std::fill(s.g_wl_y.begin(), s.g_wl_y.end(), 0.0);
+  wl_->value_and_gradient(x, y, s.g_wl_x, s.g_wl_y);
+  log.wl_grad_ms = clock.elapsed_ms();
+  s.result.phases.wirelength_cpu_sec += clock.cpu_elapsed_sec();
+
+  // Density gradient, lambda-scaled inside.
+  clock.reset();
+  std::fill(s.g_den_x.begin(), s.g_den_x.end(), 0.0);
+  std::fill(s.g_den_y.begin(), s.g_den_y.end(), 0.0);
+  if (s.lambda == 0.0) {
+    // Initialize lambda so density force starts as a fixed fraction of the
+    // wirelength force (ePlace's initialization).
+    density_->add_gradient(x, y, 1.0, s.g_den_x, s.g_den_y);
+    const double wl_norm = l1(s.g_wl_x, s.g_wl_y);
+    const double den_norm = l1(s.g_den_x, s.g_den_y);
+    s.lambda = den_norm > 1e-30
+                   ? options_.lambda_init_ratio * wl_norm / den_norm
+                   : 1.0;
+    for (size_t c = 0; c < s.n; ++c) {
+      s.g_den_x[c] *= s.lambda;
+      s.g_den_y[c] *= s.lambda;
+    }
+  } else {
+    density_->add_gradient(x, y, s.lambda, s.g_den_x, s.g_den_y);
+  }
+  log.density_ms += clock.elapsed_ms();
+  s.result.phases.density_cpu_sec += clock.cpu_elapsed_sec();
+  log.lambda = s.lambda;
+}
+
+// The timer's pass and the density/wirelength pass share only the read-only
+// positions and write disjoint buffers, log fields and phase totals, so they
+// run as the two chunks of one pool job.  Nested in it, the timer's own jobs
+// (tree rebuild, drag, Elmore, level sweep) run inline in their lane: one
+// fork and join per iteration instead of a barrier per timing level.  On one
+// thread the job runs inline, lane 0 first.
+void GlobalPlacer::timing_lanes(RunState& s, int iter, IterationLog& log) {
+  using Clock = std::chrono::steady_clock;
+  std::array<Clock::time_point, 2> start, stop;
+  ThreadPool::global().parallel_for(0, 2, 2, [&](size_t, size_t lane) {
+    start[lane] = Clock::now();
+    if (lane == 0)
+      diff_timing_pass(s, iter, log, CpuClock::Thread);
+    else
+      density_and_wirelength(s, log, CpuClock::Thread);
+    stop[lane] = Clock::now();
+  });
+  const Clock::duration both =
+      std::min(stop[0], stop[1]) - std::max(start[0], start[1]);
+  if (both > Clock::duration::zero())
+    s.result.phases.overlap_sec += std::chrono::duration<double>(both).count();
+}
+
+bool GlobalPlacer::timing_forces(RunState& s, int iter, IterationLog& log,
+                                 bool suspended, bool timed) {
   s.clip_clipped = s.clip_nonzero = 0;
   bool precond_dirty = false;
   // Graceful degradation: while timing is suspended (repeated degenerate
   // backward passes) the placer runs on pure wirelength+density forces and
   // skips the timer entirely; the controller re-enables it after cooldown.
-  const bool timing_suspended =
-      (s.guards && s.timing_active && s.rc.timing_suspended(iter)) ||
-      s.timing_cut;
-  if (s.timing_active && !timing_suspended &&
+  if (s.timing_active && !suspended &&
       options_.mode == PlacerMode::DiffTiming) {
-    diff_timing_gradient(s, iter, log);
+    if (!timed) diff_timing_pass(s, iter, log, CpuClock::Process);
+    diff_timing_gradient(s, iter);
   } else if (s.timing_active && !s.timing_cut &&
              options_.mode == PlacerMode::NetWeighting &&
              (iter - options_.timing_start_iter) % options_.nw_period == 0) {
@@ -589,9 +630,8 @@ bool GlobalPlacer::timing_forces(RunState& s, int iter, IterationLog& log) {
   return precond_dirty;
 }
 
-void GlobalPlacer::diff_timing_gradient(RunState& s, int iter,
-                                        IterationLog& log) {
-  const size_t n = s.n;
+void GlobalPlacer::diff_timing_pass(RunState& s, int iter, IterationLog& log,
+                                    CpuClock cpu) {
   if (options_.gamma_timing_final > 0.0) {
     // Geometric gamma annealing across the timing phase.
     const double decay =
@@ -602,9 +642,9 @@ void GlobalPlacer::diff_timing_gradient(RunState& s, int iter,
     diff_timer_->timer().set_gamma(g);
   }
   if (s.inj != nullptr) diff_timer_->set_fault_injection(s.inj, iter);
-  s.phase_clock.reset();
+  Stopwatch clock(cpu);
   const auto tm = diff_timer_->forward(design_->cell_x, design_->cell_y);
-  const double fwd_cpu = s.phase_clock.cpu_elapsed_sec();
+  const double fwd_cpu = clock.cpu_elapsed_sec();
   log.rsmt_ms = diff_timer_->last_forward().rsmt_ms;
   log.sta_fwd_ms = diff_timer_->last_forward().sta_ms();
   // Forward CPU split between rsmt and sta proportional to their wall share
@@ -613,13 +653,17 @@ void GlobalPlacer::diff_timing_gradient(RunState& s, int iter,
   const double rsmt_frac = fwd_wall > 0.0 ? log.rsmt_ms / fwd_wall : 0.0;
   s.result.phases.rsmt_cpu_sec += fwd_cpu * rsmt_frac;
   s.result.phases.sta_forward_cpu_sec += fwd_cpu * (1.0 - rsmt_frac);
-  s.phase_clock.reset();
+  clock.reset();
   diff_timer_->backward(1.0, options_.t2_ratio, s.g_t_x, s.g_t_y);
-  log.sta_bwd_ms = s.phase_clock.elapsed_ms();
-  s.result.phases.sta_backward_cpu_sec += s.phase_clock.cpu_elapsed_sec();
+  log.sta_bwd_ms = clock.elapsed_ms();
+  s.result.phases.sta_backward_cpu_sec += clock.cpu_elapsed_sec();
   log.wns = tm.wns;
   log.tns = tm.tns;
   log.has_timing = true;
+}
+
+void GlobalPlacer::diff_timing_gradient(RunState& s, int iter) {
+  const size_t n = s.n;
   if (s.inj != nullptr)
     s.inj->corrupt(robust::FaultSite::TimingGrad, iter, s.g_t_x, s.g_t_y);
   // Guard: a non-finite timing gradient is dropped (this iteration runs
@@ -813,7 +857,7 @@ PlaceResult GlobalPlacer::finish_run(RunState& s, int iter) {
   p.sta_forward_sec = 1e-3 * phase_ms[3];
   p.sta_backward_sec = 1e-3 * phase_ms[4];
   p.step_sec = 1e-3 * phase_ms[5];
-  p.unattributed_sec = result.runtime_sec -
+  p.unattributed_sec = result.runtime_sec + p.overlap_sec -
                        (p.wirelength_sec + p.density_sec + p.rsmt_sec +
                         p.sta_forward_sec + p.sta_backward_sec + p.step_sec);
   result.sta_runtime_sec = p.rsmt_sec + p.sta_forward_sec + p.sta_backward_sec;

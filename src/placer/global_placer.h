@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stopwatch.h"
 #include "dtimer/diff_timer.h"
 #include "obs/activity/activity_record.h"
 #include "obs/introspect/introspect.h"
@@ -212,9 +213,16 @@ struct IterationLog {
 
 // Where the placement run's wall clock went, in seconds: the per-phase
 // milliseconds of the run's own `history`, summed, plus the remainder no
-// phase books.
-// The *_cpu_sec twins are process CPU time (all threads) over the same span,
-// so cpu/wall per phase shows which kernels actually parallelize.
+// phase books.  A DiffTiming iteration that starts with timing on runs its
+// timer phases (rsmt, sta_forward, sta_backward) in one lane beside its
+// density and wirelength phases in another (DESIGN.md §10.5), so the phases
+// count twice the time both lanes ran at once, overlap_sec.  The books close
+// as  sum of the six wall phases - overlap_sec + unattributed_sec
+// = runtime_sec.
+// The *_cpu_sec twins are CPU time over the same span: process CPU (all
+// threads) for a phase that runs alone, so cpu/wall per phase shows which
+// kernels actually parallelize, and the lane thread's own CPU for a phase
+// that runs in a lane.
 struct PhaseBreakdown {
   double wirelength_sec = 0.0;
   double density_sec = 0.0;
@@ -222,8 +230,12 @@ struct PhaseBreakdown {
   double sta_forward_sec = 0.0;
   double sta_backward_sec = 0.0;
   double step_sec = 0.0;
-  // runtime_sec minus the six wall phases above: guards, observers, the
-  // exact-STA probe, HPWL bookkeeping and pool wake-ups between kernels.
+  // Summed over iterations: the intersection of the two lanes' start-to-end
+  // intervals; 0 when the lanes ran one after the other on one thread.
+  double overlap_sec = 0.0;
+  // runtime_sec minus the six wall phases above, plus overlap_sec: guards,
+  // observers, the exact-STA probe, HPWL bookkeeping and pool wake-ups
+  // between kernels.
   double unattributed_sec = 0.0;
   double wirelength_cpu_sec = 0.0;
   double density_cpu_sec = 0.0;
@@ -274,14 +286,26 @@ class GlobalPlacer {
   int begin_run(RunState& s);  // scratch, resume, sinks; returns the start
                                // iter, or -1 when no cell can move
   bool poll_control(RunState& s, int iter);  // true: stop before `iter`
+  // Whether the timer sits this iteration out (suspended or cut); asks the
+  // recovery controller, so call it once per iteration.
+  bool timing_suspended(RunState& s, int iter);
   bool handle_fault(RunState& s, int iter, const char* kind,
                     std::string detail);  // false: abort the run
   void capture_checkpoint(RunState& s, int iter);
   void scrub_state(RunState& s);
+  // The density field, the WA wirelength gradient and the density gradient.
+  void density_and_wirelength(RunState& s, IterationLog& log, CpuClock cpu);
+  // One job of two lanes: diff_timing_pass beside density_and_wirelength.
+  void timing_lanes(RunState& s, int iter, IterationLog& log);
   // Fills the timing gradient (or re-weights nets) for this iteration;
-  // returns true when net weights changed.
-  bool timing_forces(RunState& s, int iter, IterationLog& log);
-  void diff_timing_gradient(RunState& s, int iter, IterationLog& log);
+  // `timed` says the lanes already ran the DiffTiming pass.  Returns true
+  // when net weights changed.
+  bool timing_forces(RunState& s, int iter, IterationLog& log, bool suspended,
+                     bool timed);
+  // DiffTiming forward + backward into the raw timing gradient.
+  void diff_timing_pass(RunState& s, int iter, IterationLog& log, CpuClock cpu);
+  // Guard, normalise and clip the timing gradient; grow the timing mix.
+  void diff_timing_gradient(RunState& s, int iter);
   void report_progress(RunState& s, const IterationLog& log);
   void emit_attribution(RunState& s, int iter, const std::string& trigger);
   void emit_introspection(RunState& s, int iter);

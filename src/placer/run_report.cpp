@@ -36,6 +36,7 @@ void phase_object(JsonWriter& w, const PhaseBreakdown& p) {
   w.key("sta_forward_sec").value(p.sta_forward_sec);
   w.key("sta_backward_sec").value(p.sta_backward_sec);
   w.key("step_sec").value(p.step_sec);
+  w.key("overlap_sec").value(p.overlap_sec);
   w.key("unattributed_sec").value(p.unattributed_sec);
   w.key("wirelength_cpu_sec").value(p.wirelength_cpu_sec);
   w.key("density_cpu_sec").value(p.density_cpu_sec);

@@ -24,7 +24,10 @@
 // ThreadPool job over the CSR level schedule — the CPU analogue of the
 // paper's per-level CUDA kernels, without a relaunch per level: each level
 // worth splitting is a phase of chunks, and consecutive small levels fuse
-// into one serial chunk over the flat schedule (same pin order).  Each sweep
+// into one serial chunk over the flat schedule (same pin order).  Called from
+// inside another pool job, as the DiffTiming placer's timer lane is, every
+// job of the timer (sweep, tree rebuild, drag, Elmore) runs inline on the
+// calling thread in the same order (DESIGN.md §10.5).  Each sweep
 // books every level's wall-clock into level_profile() on that one schedule
 // (DESIGN.md §8).  The forward flow — drag path or full tree
 // rebuild — and the slack update are allocation-free at steady state.

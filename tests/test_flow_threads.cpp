@@ -5,9 +5,12 @@
 // to hold at every thread count.  The golden-plane suite pins the same
 // property on a 300-cell design; this one is large enough that the RSMT
 // rebuild is a pooled job whose chunks the workers and the caller actually
-// claim.  Its level sweeps stay below the pool's work cutoff and run inline
-// (the phase order of pooled sweeps is pinned by tests/test_thread_pool.cpp);
-// the wirelength plane and the density splat are serial.
+// claim, but only on the iteration that switches timing on.  Every later
+// timing iteration is one two-lane job (the timer beside the density and
+// wirelength passes), inside which the rebuild, like every other timer job,
+// runs inline.  The level sweeps stay below the pool's work cutoff and run
+// inline anyway (the phase order of pooled sweeps is pinned by
+// tests/test_thread_pool.cpp); each lane is serial.
 //
 // If a change intentionally alters numerics, re-capture kPositionsHash from
 // a trusted build (print it with the message of the failing EXPECT_EQ).

@@ -84,6 +84,21 @@ TEST(Stopwatch, CpuTimeTracksBusyWork) {
   EXPECT_LT(cpu, wall * 4.0 + 0.05);
 }
 
+// The thread clock books only the calling thread: another thread's busy
+// work shows in the process clock and not in it.
+TEST(Stopwatch, ThreadClockLeavesOutOtherThreads) {
+  Stopwatch process_sw;
+  Stopwatch thread_sw(CpuClock::Thread);
+  std::thread busy([] {
+    const double start = thread_cpu_sec();
+    volatile double sink = 0.0;
+    while (thread_cpu_sec() - start < 0.02) sink = sink + 1.0;
+  });
+  busy.join();
+  EXPECT_GE(process_sw.cpu_elapsed_sec(), 0.019);
+  EXPECT_LT(thread_sw.cpu_elapsed_sec(), 0.01);
+}
+
 // ----------------------------------------------------------- stats math ----
 
 TEST(BenchStats, OrderStatistics) {

@@ -220,6 +220,37 @@ TEST(ThreadPool, ConcurrentDispatchersBothFinish) {
   EXPECT_EQ(sums[1].load(), 4950L * kJobs);
 }
 
+// A thread that dispatches while another thread's job holds the pool runs
+// its job inline at once: waiting would deadlock here, since the first job
+// only ends after the second one has.
+TEST(ThreadPool, BusyPoolRunsSecondDispatcherInline) {
+  ThreadPool pool(4);
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  std::thread first([&] {
+    pool.parallel_for(0, 2, 2, [&](size_t, size_t) {
+      holding = true;
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (!holding.load()) std::this_thread::yield();
+  const ThreadPoolStats s0 = pool.stats();
+  const auto self = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  std::atomic<long> sum{0};
+  pool.parallel_for(0, 100, 8, [&](size_t slot, size_t i) {
+    if (std::this_thread::get_id() != self || slot != pool.caller_slot())
+      ++elsewhere;
+    sum += static_cast<long>(i);
+  });
+  const ThreadPoolStats s1 = pool.stats();
+  release = true;
+  first.join();
+  EXPECT_EQ(elsewhere.load(), 0);
+  EXPECT_EQ(sum.load(), 4950L);
+  EXPECT_EQ(s1.inline_ranges - s0.inline_ranges, 1u);
+}
+
 // A dispatch from inside a chunk runs inline on the thread that made it,
 // with that thread's slot.
 TEST(ThreadPool, NestedDispatchRunsInline) {

@@ -289,10 +289,19 @@ void print_report(const RunData& run) {
       std::printf("final timing: WNS %.4f ns  TNS %.3f ns\n", wns, tns);
     if (e.has("phases") && e.at("phases").is_object()) {
       std::printf("phases:");
-      for (const auto& [name, sec] : e.at("phases").object)
+      const JsonValue& ph = e.at("phases");
+      for (const auto& [name, sec] : ph.object)
         if (sec.is_number() && sec.number > 0.0)
           std::printf("  %s=%.3fs", name.c_str(), sec.number);
-      std::printf("\n");
+      // The ledger: lanes that ran side by side book their overlap twice.
+      double booked = 0.0;
+      for (const char* name : {"wirelength_sec", "density_sec", "rsmt_sec",
+                               "sta_forward_sec", "sta_backward_sec", "step_sec"})
+        booked += ph.num_or(name, 0.0);
+      std::printf("\nledger: phases %.3fs - overlap %.3fs + unattributed "
+                  "%.3fs = runtime %.3fs\n",
+                  booked, ph.num_or("overlap_sec", 0.0),
+                  ph.num_or("unattributed_sec", 0.0), e.num_or("runtime_sec", 0.0));
     }
   }
 
