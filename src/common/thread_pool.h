@@ -1,24 +1,20 @@
-// Fixed-size thread pool running allocation-free phased chunk-claiming jobs.
+// Fixed-size thread pool running allocation-free chunk-claiming jobs.
 //
-// This is the CPU substitute for the paper's levelized CUDA kernels (§3.6).
-// The timer's level sweep is one job whose phases are the levels: the chunks
-// of phase k+1 become claimable only once every chunk of phase k has
-// completed, so a whole sweep costs one wake of the pool instead of one per
-// level (DESIGN.md §10.5).  The RSMT rebuild, the tree drag and the Elmore
-// pass are one-phase jobs.  Callers size jobs by estimated serial work: a
-// job below kMinJobNs runs inline, and a range splits into chunks of at
-// least kMinChunkNs.  In the placer loop, a DiffTiming iteration with timing
-// on is one two-chunk job instead: the timer's forward and adjoint sweeps in
-// one lane, the density and WA wirelength passes in the other, each lane
-// serial, since the timer's own jobs then run nested and so inline
-// (DESIGN.md §10.5).
+// This is the CPU substitute for the paper's CUDA kernels (§3.6) on the
+// per-net timer kernels: the RSMT rebuild, the tree drag and the Elmore pass
+// are each one parallel_for job over the timing nets.  The level sweeps are
+// serial loops (DESIGN.md §10.5).  Callers size jobs by estimated serial
+// work (chunks_for): a job below kMinJobNs runs inline, and a range splits
+// into chunks of at least kMinChunkNs.  In the placer loop, a DiffTiming
+// iteration with timing on is one two-chunk job: the timer's forward and
+// adjoint passes in one lane, the density and WA wirelength passes in the
+// other, each lane serial, since the timer's own jobs then run nested and
+// so inline (DESIGN.md §10.5).
 //
 // A pool of N threads is N-1 workers plus the thread that dispatches: the
 // caller claims chunks like a worker and waits only once every chunk of its
-// job is claimed, or for a phase whose chunks others are running, so N
-// threads run, not N+1.  Chunks are claimed with one atomic fetch_add on a
-// job-wide counter, in phase order; a participant that claims a chunk of a
-// phase that is not open yet waits for it.  There is no fixed-count barrier:
+// job is claimed, so N threads run, not N+1.  Chunks are claimed with one
+// atomic fetch_add on a job-wide counter.  There is no fixed-count barrier:
 // any participant may claim any chunk, so the caller alone always finishes
 // the job, whether or not a worker ever wakes.
 //
@@ -27,7 +23,7 @@
 // are the same, and concurrent placements (dtp_serve) never queue behind a
 // long job.
 //
-// Jobs are passed by reference through `const void*` and function pointers:
+// Jobs are passed by reference through `const void*` and a function pointer:
 // no std::function, no task objects, no queue nodes, so dispatching performs
 // **zero heap allocations** (the counting-allocator test enforces this).
 // Waits spin for at most kSpin, then park on a condition variable; a
@@ -37,9 +33,9 @@
 // before it rewrites the fields.
 //
 // The pool keeps utilization statistics (job and chunk counts, time chunks
-// waited between their phase opening and their start, time spent executing
-// chunks) for the observability artifacts: stats() snapshots them, the
-// run-summary JSON embeds them and the flow benchmark reports them.
+// waited between the job's publication and their start, time spent
+// executing chunks) for the observability artifacts: stats() snapshots them,
+// the run-summary JSON embeds them and the flow benchmark reports them.
 // Accounting costs two clock reads per *chunk* (not per item).
 #pragma once
 
@@ -51,7 +47,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -63,7 +58,7 @@ struct ThreadPoolStats {
   uint64_t parallel_for_calls = 0;  // jobs requested (pooled or inline)
   uint64_t inline_ranges = 0;    // jobs run serially on the caller
   uint64_t tasks_executed = 0;   // chunks of pooled jobs, by any participant
-  double queue_wait_sec = 0.0;   // sum of per-chunk phase-open-to-start latency
+  double queue_wait_sec = 0.0;   // sum of per-chunk publish-to-start latency
   double busy_sec = 0.0;         // sum of per-chunk execution time
   double lifetime_sec = 0.0;     // pool age at the time of the snapshot
 
@@ -74,24 +69,16 @@ struct ThreadPoolStats {
   }
 };
 
-// One phase of a job: the flat index range [begin, end) split into `chunks`
-// contiguous near-equal chunks (clamped to [1, end - begin]).
-struct PoolPhase {
-  size_t begin = 0;
-  size_t end = 0;
-  size_t chunks = 1;
-};
-
 class ThreadPool {
  public:
   // Chunks per thread at most: enough to balance uneven chunks.
   static constexpr size_t kChunksPerThread = 4;
   // Estimated serial cost of the smallest job worth waking the pool for.
   // Waking a parked worker and parking it again costs it some 50-70 us of
-  // CPU on a 4-vCPU KVM guest, so a smaller job runs inline (job_chunks).
+  // CPU on a 4-vCPU KVM guest, so a smaller job runs inline (chunks_for).
   static constexpr double kMinJobNs = 2.0e6;
   // Estimated serial cost of the smallest chunk worth claiming in a pooled
-  // job; a phase hand-off between running threads costs a few microseconds.
+  // job; claiming a chunk on another core costs a few microseconds.
   static constexpr double kMinChunkNs = 4000.0;
   // How long a waiting thread spins before it parks.
   static constexpr std::chrono::nanoseconds kSpin{20000};
@@ -131,20 +118,14 @@ class ThreadPool {
   size_t num_slots() const { return n_threads_; }
   size_t caller_slot() const { return n_threads_ - 1; }
 
-  // Chunk count for one range of a pooled job whose serial cost is estimated
-  // at `work_ns`: chunks of at least kMinChunkNs, at least one and at most
+  // Chunk count for a job of estimated serial cost `work_ns`: 1 (run it
+  // inline) below kMinJobNs, else chunks of at least kMinChunkNs, at most
   // kChunksPerThread per thread.
   size_t chunks_for(double work_ns) const {
-    const size_t cap = n_threads_ == 1 ? 1 : kChunksPerThread * n_threads_;
+    if (work_ns < kMinJobNs || n_threads_ == 1) return 1;
+    const size_t cap = kChunksPerThread * n_threads_;
     const double chunks = work_ns / kMinChunkNs;
-    if (chunks < 1.0) return 1;
     return chunks >= static_cast<double>(cap) ? cap : static_cast<size_t>(chunks);
-  }
-
-  // Chunk count for a one-range job of estimated serial cost `work_ns`:
-  // 1 (run it inline) below kMinJobNs, else chunks_for(work_ns).
-  size_t job_chunks(double work_ns) const {
-    return work_ns < kMinJobNs ? 1 : chunks_for(work_ns);
   }
 
   ThreadPoolStats stats() const {
@@ -162,39 +143,21 @@ class ThreadPool {
     return s;
   }
 
-  // Runs the phases in order: body(slot, k, lo, hi) once for every chunk
-  // [lo, hi) of every phase k, then phase_done(k) once, on the thread that
-  // completed phase k's last chunk, before any chunk of phase k+1 starts.
-  // Blocks until phase_done of the last phase has returned.  A job whose
-  // phases all have one chunk, or that is dispatched from inside a job, runs
-  // inline on the calling thread with body(slot, k, begin, end) per phase:
-  // the thread's slot in a job of this pool, else caller_slot().  So does a
-  // job dispatched while another thread's job holds the pool.
-  template <class Body, class PhaseDone>
-  void run_phases(std::span<const PoolPhase> phases, Body&& body,
-                  PhaseDone&& phase_done) {
-    using B = std::remove_reference_t<Body>;
-    using D = std::remove_reference_t<PhaseDone>;
-    dispatch(phases,
-             {&body,
-              [](const void* ctx, size_t slot, size_t k, size_t lo, size_t hi) {
-                (*static_cast<const B*>(ctx))(slot, k, lo, hi);
-              },
-              &phase_done,
-              [](const void* ctx, size_t k) { (*static_cast<const D*>(ctx))(k); }});
-  }
-
-  // One-phase job: body(slot, i) for i in [begin, end), split into `chunks`.
+  // Runs body(slot, i) for every i in [begin, end), split into `chunks`
+  // contiguous near-equal chunks (clamped to [1, end - begin]), and blocks
+  // until all have returned.  A one-chunk job, a job dispatched from inside
+  // a job, and a job dispatched while another thread's job holds the pool
+  // run inline on the calling thread, with the thread's slot in a job of
+  // this pool, else caller_slot().
   template <class Body>
   void parallel_for(size_t begin, size_t end, size_t chunks, Body&& body) {
     if (end <= begin) return;
-    const PoolPhase phase{begin, end, chunks};
-    run_phases(
-        std::span<const PoolPhase>(&phase, 1),
-        [&body](size_t slot, size_t, size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i) body(slot, i);
-        },
-        [](size_t) {});
+    using B = std::remove_reference_t<Body>;
+    dispatch(begin, end, chunks,
+             {&body, [](const void* ctx, size_t slot, size_t lo, size_t hi) {
+                for (size_t i = lo; i < hi; ++i)
+                  (*static_cast<const B*>(ctx))(slot, i);
+              }});
   }
 
   // Global pool shared by the timer kernels.  Sized once, on first use, by
@@ -223,17 +186,11 @@ class ThreadPool {
  private:
   using Clock = std::chrono::steady_clock;
 
-  // A job's body and phase hook, type-erased without allocation.
-  struct JobFns {
-    const void* body_ctx;
-    void (*body)(const void*, size_t slot, size_t k, size_t lo, size_t hi);
-    const void* done_ctx;
-    void (*done)(const void*, size_t k);
+  // A job's body, type-erased without allocation: runs items [lo, hi).
+  struct JobFn {
+    const void* ctx;
+    void (*run)(const void*, size_t slot, size_t lo, size_t hi);
   };
-
-  static size_t chunks_of(const PoolPhase& p) {
-    return std::clamp<size_t>(p.chunks, 1, std::max<size_t>(1, p.end - p.begin));
-  }
 
   static int64_t now_ns() {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -249,26 +206,20 @@ class ThreadPool {
 #endif
   }
 
-  void dispatch(std::span<const PoolPhase> phases, const JobFns& fns) {
-    if (phases.empty()) return;
+  void dispatch(size_t begin, size_t end, size_t chunks, const JobFn& fn) {
     jobs_.fetch_add(1, std::memory_order_relaxed);
-    size_t total = 0;
-    for (const PoolPhase& p : phases) total += chunks_of(p);
-    // Inline when serial, when no phase splits, when nested inside a job
-    // (claiming from the job this thread is itself running would deadlock),
-    // or when another thread's job holds the pool (waiting for it would
-    // stall this job for that job's whole run).  Nested in a job of this
-    // pool, the body keeps the thread's own slot, since the caller slot may
-    // be busy on the dispatching thread.
+    chunks = std::clamp<size_t>(chunks, 1, end - begin);
+    // Inline when serial, when the job does not split, when nested inside a
+    // job (claiming from the job this thread is itself running would
+    // deadlock), or when another thread's job holds the pool (waiting for it
+    // would stall this job for that job's whole run).  Nested in a job of
+    // this pool, the body keeps the thread's own slot, since the caller slot
+    // may be busy on the dispatching thread.
     std::unique_lock<std::mutex> dispatch_lock(dispatch_mutex_, std::defer_lock);
-    if (workers_.empty() || total == phases.size() || tl_pool_ != nullptr ||
+    if (workers_.empty() || chunks == 1 || tl_pool_ != nullptr ||
         !dispatch_lock.try_lock()) {
       inline_jobs_.fetch_add(1, std::memory_order_relaxed);
-      const size_t slot = tl_pool_ == this ? tl_slot_ : caller_slot();
-      for (size_t k = 0; k < phases.size(); ++k) {
-        fns.body(fns.body_ctx, slot, k, phases[k].begin, phases[k].end);
-        fns.done(fns.done_ctx, k);
-      }
+      fn.run(fn.ctx, tl_pool_ == this ? tl_slot_ : caller_slot(), begin, end);
       return;
     }
     // Close the previous job to joiners (odd epoch) and wait for a worker
@@ -277,13 +228,13 @@ class ThreadPool {
     const uint64_t epoch = epoch_.load();
     epoch_.store(epoch + 1);
     await([this] { return active_.load() == 0; });
-    phases_ = phases;
-    fns_ = fns;
-    total_ = total;
+    fn_ = fn;
+    begin_ = begin;
+    len_ = end - begin;
+    total_ = chunks;
     next_.store(0, std::memory_order_relaxed);
     done_.store(0, std::memory_order_relaxed);
-    closed_.store(0, std::memory_order_relaxed);
-    opened_ns_.store(now_ns(), std::memory_order_relaxed);
+    published_ns_ = now_ns();
     epoch_.store(epoch + 2);
     wake();
     tl_pool_ = this;
@@ -291,40 +242,25 @@ class ThreadPool {
     run_chunks(caller_slot());
     tl_pool_ = nullptr;
     // Every chunk is claimed; wait for the ones still running elsewhere.
-    await([this] { return closed_.load() == phases_.size(); });
+    await([this] { return done_.load() == total_; });
   }
 
   // Claims and runs chunks of the current job until none is left.
   void run_chunks(size_t slot) {
-    size_t k = 0;      // phase of the last claimed chunk
-    size_t first = 0;  // global index of phase k's first chunk
     for (;;) {
       const size_t c = next_.fetch_add(1, std::memory_order_relaxed);
       if (c >= total_) return;
-      while (c >= first + chunks_of(phases_[k])) first += chunks_of(phases_[k++]);
-      if (closed_.load() < k) await([this, k] { return closed_.load() >= k; });
-      const PoolPhase& p = phases_[k];
-      const size_t n = chunks_of(p);
-      const size_t j = c - first;
-      const size_t len = p.end - p.begin;
       const int64_t start = now_ns();
       queue_wait_ns_.fetch_add(
-          static_cast<uint64_t>(std::max<int64_t>(
-              0, start - opened_ns_.load(std::memory_order_relaxed))),
+          static_cast<uint64_t>(std::max<int64_t>(0, start - published_ns_)),
           std::memory_order_relaxed);
-      fns_.body(fns_.body_ctx, slot, k, p.begin + len * j / n,
-                p.begin + len * (j + 1) / n);
+      fn_.run(fn_.ctx, slot, begin_ + len_ * c / total_,
+              begin_ + len_ * (c + 1) / total_);
       const int64_t stop = now_ns();
       busy_ns_.fetch_add(static_cast<uint64_t>(stop - start),
                          std::memory_order_relaxed);
       tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-      if (done_.fetch_add(1) + 1 == first + n) {
-        // Last chunk of phase k: run its hook, then open phase k+1.
-        fns_.done(fns_.done_ctx, k);
-        opened_ns_.store(now_ns(), std::memory_order_relaxed);
-        closed_.store(k + 1);
-        wake();
-      }
+      if (done_.fetch_add(1) + 1 == total_) wake();
     }
   }
 
@@ -382,15 +318,15 @@ class ThreadPool {
 
   // The current job.  The plain fields are written by the dispatcher before
   // it publishes an even epoch_ and stay frozen while any worker is active_.
-  std::span<const PoolPhase> phases_;
-  JobFns fns_{};
-  size_t total_ = 0;                 // chunks over all phases
+  JobFn fn_{};
+  size_t begin_ = 0;                 // first item
+  size_t len_ = 0;                   // items
+  size_t total_ = 0;                 // chunks
+  int64_t published_ns_ = 0;         // when the job was published
   std::atomic<uint64_t> epoch_{0};   // odd while a job is being installed
   std::atomic<size_t> active_{0};    // workers that joined the current epoch
   std::atomic<size_t> next_{0};      // next chunk to claim
   std::atomic<size_t> done_{0};      // chunks completed
-  std::atomic<size_t> closed_{0};    // phases completed, hooks included
-  std::atomic<int64_t> opened_ns_{0};  // when the newest phase opened
   // The pool whose job this thread is running chunks of, and its slot there.
   static thread_local const ThreadPool* tl_pool_;
   static thread_local size_t tl_slot_;

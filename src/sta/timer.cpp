@@ -19,13 +19,10 @@ namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr double kPosInf = std::numeric_limits<double>::infinity();
 
-// Estimated serial cost of one unit of work of each pool job, from which the
-// pool decides inline vs pooled (ThreadPool::job_chunks) and how many chunks
-// a range splits into (ThreadPool::chunks_for).  Measured at one thread on
-// the 3k- and 10k-cell flow benchmark designs (Release build, x86-64).  The
-// forward sweep counts a pin plus its fan-in arcs; the tree kernels count
-// the pins of the timing nets.
-constexpr double kSweepNsPerUnit = 80.0;
+// Estimated serial cost per timing-net pin of each tree kernel, from which
+// the pool decides inline vs pooled and how many chunks the nets split into
+// (ThreadPool::chunks_for).  Measured at one thread on the 3k- and 10k-cell
+// flow benchmark designs (Release build, x86-64).
 constexpr double kBuildNsPerPin = 480.0;
 constexpr double kDragNsPerPin = 10.0;
 constexpr double kElmoreNsPerPin = 42.0;
@@ -71,34 +68,6 @@ Timer::Timer(const netlist::Design& design, const TimingGraph& graph,
     }
   }
 
-  // Fused level schedule (levels 1..L-1), one pool phase per group: a level
-  // worth splitting is a phase of its own, and runs of consecutive levels
-  // that are not become one single-chunk phase over the contiguous flat
-  // schedule — serial execution in flat (level-major, pin-ascending) order is
-  // exactly the per-level order, since update_pin only reads strictly lower
-  // levels.  A sweep too small to pool is one serial phase, run inline.
-  const ThreadPool& pool = ThreadPool::global();
-  const auto offsets = graph.level_offsets();
-  auto level_work_ns = [&](int l) {
-    size_t work = graph.level(l).size();
-    for (const PinId p : graph.level(l)) work += graph.fanin(p).size();
-    return kSweepNsPerUnit * static_cast<double>(work);
-  };
-  double sweep_ns = 0.0;
-  for (int l = 1; l < graph.num_levels(); ++l) sweep_ns += level_work_ns(l);
-  const bool pooled_sweep = pool.job_chunks(sweep_ns) > 1;
-  for (int l = 1; l < graph.num_levels(); ++l) {
-    const size_t b = static_cast<size_t>(offsets[static_cast<size_t>(l)]);
-    const size_t e = static_cast<size_t>(offsets[static_cast<size_t>(l) + 1]);
-    const size_t chunks = pooled_sweep ? pool.chunks_for(level_work_ns(l)) : 1;
-    if (chunks == 1 && !sweep_phases_.empty() && sweep_phases_.back().chunks == 1) {
-      level_groups_.back().end_level = l + 1;
-      sweep_phases_.back().end = e;
-    } else {
-      level_groups_.push_back({l, l + 1});
-      sweep_phases_.push_back({b, e, chunks});
-    }
-  }
   level_profile_.resize(static_cast<size_t>(graph.num_levels()));
   for (const NetId n : graph.timing_nets())
     timing_net_pins_ += static_cast<double>(nl.net(n).pins.size());
@@ -213,7 +182,7 @@ void Timer::build_trees() {
   DTP_TRACE_SCOPE("rsmt_build_trees");
   const auto& nets = graph_->timing_nets();
   ThreadPool& pool = ThreadPool::global();
-  pool.parallel_for(0, nets.size(), pool.job_chunks(kBuildNsPerPin * timing_net_pins_),
+  pool.parallel_for(0, nets.size(), pool.chunks_for(kBuildNsPerPin * timing_net_pins_),
                     [&](size_t slot, size_t i) { rebuild_tree(nets[i], slot); });
   publish_rsmt_counts();
   trees_built_ = true;
@@ -226,7 +195,7 @@ void Timer::drag_trees() {
   const auto& nets = graph_->timing_nets();
   ThreadPool& pool = ThreadPool::global();
   pool.parallel_for(
-      0, nets.size(), pool.job_chunks(kDragNsPerPin * timing_net_pins_),
+      0, nets.size(), pool.chunks_for(kDragNsPerPin * timing_net_pins_),
       [&](size_t, size_t i) {
         const NetId n = nets[i];
         const netlist::Net& net = nl.net(n);
@@ -250,7 +219,7 @@ void Timer::run_elmore() {
   const netlist::Constraints& con = design_->constraints;
   const auto& nets = graph_->timing_nets();
   ThreadPool& pool = ThreadPool::global();
-  pool.parallel_for(0, nets.size(), pool.job_chunks(kElmoreNsPerPin * timing_net_pins_),
+  pool.parallel_for(0, nets.size(), pool.chunks_for(kElmoreNsPerPin * timing_net_pins_),
                     [&](size_t, size_t i) {
                       const NetId n = nets[i];
                       elmore_forward(ws_->net_view(n), ws_->net_pin_caps(n),
@@ -298,37 +267,17 @@ void Timer::propagate() {
 }
 
 void Timer::sweep_levels(bool early) {
-  // One pool job per corner, one phase per level group.  A serial group times
-  // each of its levels; a split level is timed by the hook that runs when its
-  // last chunk is done, from the moment the previous phase closed.
-  using Clock = std::chrono::steady_clock;
-  const std::span<const PinId> pins = graph_->level_pins();
-  Clock::time_point mark = Clock::now();
-  ThreadPool::global().run_phases(
-      sweep_phases_,
-      [&](size_t slot, size_t k, size_t lo, size_t hi) {
-        if (sweep_phases_[k].chunks > 1) {
-          DTP_PROF_SCOPE("sta_level_par");
-          for (size_t i = lo; i < hi; ++i) update_pin(pins[i], early, slot);
-          return;
-        }
-        DTP_PROF_SCOPE("sta_levels_fused");
-        const LevelGroup& g = level_groups_[k];
-        for (int l = g.first_level; l < g.end_level; ++l) {
-          const Clock::time_point start = Clock::now();
-          for (const PinId p : graph_->level(l)) update_pin(p, early, slot);
-          level_profile_[static_cast<size_t>(l)].add_since(start);
-        }
-      },
-      [&](size_t k) {
-        if (sweep_phases_[k].chunks > 1)
-          level_profile_[static_cast<size_t>(level_groups_[k].first_level)]
-              .add_since(mark);
-        mark = Clock::now();
-      });
+  // Level by level in flat (level-major, pin-ascending) schedule order,
+  // serial on the calling thread; each level books its own wall-clock.
+  DTP_PROF_SCOPE("sta_levels");
+  for (int l = 1; l < graph_->num_levels(); ++l) {
+    const auto start = std::chrono::steady_clock::now();
+    for (const PinId p : graph_->level(l)) update_pin(p, early);
+    level_profile_[static_cast<size_t>(l)].add_since(start);
+  }
 }
 
-bool Timer::update_pin(PinId v, bool early, size_t slot) {
+bool Timer::update_pin(PinId v, bool early) {
   TimingWorkspace& ws = *ws_;
   double* at = early ? ws.at_early.data() : ws.at.data();
   double* slew = early ? ws.slew_early.data() : ws.slew.data();
@@ -368,14 +317,14 @@ bool Timer::update_pin(PinId v, bool early, size_t slot) {
   // corner writes its candidates into the workspace cache, where the backward
   // pass and the RAT sweep re-read them (in smooth mode the LSE writes its
   // softmax weights there too, for the backward pass); the early corner
-  // gathers into per-slot scratch.
+  // gathers into the sweep scratch.
   // Live-stack-only label: per-pin, far too hot for the trace ring, but the
-  // sampler sees worker threads inside the LUT-gather/aggregate section.
+  // sampler sees the sweep inside the LUT-gather/aggregate section.
   DTP_PROF_SCOPE("lut_interp");
   const NetId out_net = graph_->driven_timing_net(v);
   const double load =
       out_net == netlist::kInvalidId ? 0.0 : ws.net_root_load(out_net);
-  LevelScratch& scratch = ws.slots[slot];
+  LevelScratch& scratch = ws.level_scratch;
   std::vector<double>& values = scratch.values;
   std::vector<double>& weights = scratch.weights;
   for (int tr_out = 0; tr_out < 2; ++tr_out) {
@@ -504,8 +453,8 @@ TimingMetrics Timer::evaluate_incremental(std::span<const double> cell_x,
     worklist.pop();
     queued[static_cast<size_t>(v)] = 0;
     ++visited;
-    bool changed = update_pin(v, /*early=*/false, slot);
-    if (options_.enable_early) changed |= update_pin(v, /*early=*/true, slot);
+    bool changed = update_pin(v, /*early=*/false);
+    if (options_.enable_early) changed |= update_pin(v, /*early=*/true);
     if (!changed) continue;
     ++num_changed;
     for (const int ai : graph_->fanout(v))

@@ -20,17 +20,16 @@
 // All mutable state lives in a TimingWorkspace (DESIGN.md §10): flat
 // [pin*2 + transition] sweep arrays, the Steiner forest + per-node net arenas,
 // the cell-arc candidate cache the forward sweep fills and the backward/RAT
-// sweeps reuse, and per-slot scratch.  A level sweep is one phased
-// ThreadPool job over the CSR level schedule — the CPU analogue of the
-// paper's per-level CUDA kernels, without a relaunch per level: each level
-// worth splitting is a phase of chunks, and consecutive small levels fuse
-// into one serial chunk over the flat schedule (same pin order).  Called from
-// inside another pool job, as the DiffTiming placer's timer lane is, every
-// job of the timer (sweep, tree rebuild, drag, Elmore) runs inline on the
-// calling thread in the same order (DESIGN.md §10.5).  Each sweep
-// books every level's wall-clock into level_profile() on that one schedule
-// (DESIGN.md §8).  The forward flow — drag path or full tree
-// rebuild — and the slack update are allocation-free at steady state.
+// sweeps reuse, and scratch.  The per-net kernels (tree rebuild, drag,
+// Elmore) are ThreadPool jobs over the timing nets — the CPU analogue of the
+// paper's per-net CUDA kernels; a level sweep is one serial loop over the
+// CSR level schedule, since a pooled sweep cost more CPU than the wall time
+// it saved (DESIGN.md §10.5).  Called from inside another pool job, as the
+// DiffTiming placer's timer lane is, every job of the timer runs inline on
+// the calling thread in the same order.  Each sweep books every level's
+// wall-clock into level_profile() (DESIGN.md §8).  The forward flow — drag
+// path or full tree rebuild — and the slack update are allocation-free at
+// steady state.
 #pragma once
 
 #include <chrono>
@@ -38,7 +37,6 @@
 #include <span>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "common/vec2.h"
 #include "netlist/netlist.h"
 #include "rsmt/rsmt_builder.h"
@@ -223,9 +221,7 @@ class Timer {
   // ---- per-level kernel profile (DESIGN.md §8) ----
   // Wall-clock per topological level of the forward sweeps, accumulated over
   // every propagate() (late and early corners) for the timer's lifetime.
-  // Always on and sized at construction: a fused serial group times each of
-  // its levels' sub-ranges, a split level from the close of the previous
-  // phase of the sweep job to the end of its own last chunk.
+  // Always on and sized at construction: two clock reads per swept level.
   // Level 0 (sources) is never swept and stays at zero calls.
   const std::vector<LevelStat>& level_profile() const { return level_profile_; }
 
@@ -240,15 +236,6 @@ class Timer {
   obs::ActivityTracker* activity_tracker() const { return activity_; }
 
  private:
-  // One phase of the level sweep: either a single level split into chunks,
-  // or a run of consecutive small levels fused into one serial chunk over the
-  // flat schedule (same per-pin order).  sweep_phases_[k] holds group k's
-  // flat pin range and chunk count (1 = serial).
-  struct LevelGroup {
-    int first_level = 0;  // levels [first_level, end_level) of the graph
-    int end_level = 0;
-  };
-
   void sweep_levels(bool early);
   void init_sources(bool early);
   // Rebuilds net n's Steiner tree at the current pin positions into its
@@ -258,8 +245,7 @@ class Timer {
   // them (once per batch of rebuilds).
   void publish_rsmt_counts();
   // Recomputes at/slew of one pin from its fan-in; returns true if changed.
-  // `slot` addresses per-slot scratch (ThreadPool slot of the executor).
-  bool update_pin(PinId v, bool early, size_t slot);
+  bool update_pin(PinId v, bool early);
 
   const netlist::Design* design_;
   const TimingGraph* graph_;
@@ -267,8 +253,6 @@ class Timer {
 
   std::unique_ptr<TimingWorkspace> ws_;
   bool trees_built_ = false;
-  std::vector<LevelGroup> level_groups_;
-  std::vector<PoolPhase> sweep_phases_;
   double timing_net_pins_ = 0.0;  // work estimate of the per-net kernels
 
   std::vector<double> endpoint_slack_;

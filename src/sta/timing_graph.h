@@ -5,7 +5,7 @@
 // carrying NLDM LUT delay/slew).  Pins are grouped by topological level so the
 // forward propagation sweeps levels 0..L and the backward gradient sweeps
 // L..0 — the structure the paper maps onto one GPU kernel launch per level,
-// and that we map onto one pool phase per level within a single job.
+// and that we run as one serial loop over the level schedule each way.
 //
 // Storage is flat CSR throughout (DESIGN.md §10): the level schedule is one
 // contiguous pin array plus a level-offset table — consumed identically by

@@ -160,12 +160,9 @@ TimingWorkspace::TimingWorkspace(const netlist::Design& design,
 
   // ---- scratch (reserved; the hot loops resize within capacity only) ----
   rsmt_scratch.assign(num_slots, rsmt::RsmtScratch(max_degree, rsmt_opts));
-  slots.resize(num_slots);
-  for (LevelScratch& s : slots) {
-    s.cands.reserve(max_candidates_);
-    s.values.reserve(max_candidates_);
-    s.weights.reserve(max_candidates_);
-  }
+  level_scratch.cands.reserve(max_candidates_);
+  level_scratch.values.reserve(max_candidates_);
+  level_scratch.weights.reserve(max_candidates_);
   values.reserve(max_candidates_);
   w_at.reserve(max_candidates_);
   w_slew.reserve(max_candidates_);

@@ -20,8 +20,9 @@
 //   * static backward records — one per level-schedule slot (fan-in kind,
 //     wire source and arena node, driven net) plus a net-pin slot -> pin
 //     table, so the adjoint sweep streams flat arrays;
-//   * per-slot and serial scratch — capacity-reserved vectors for the level
-//     kernels, slack aggregation, endpoint seeding and the Elmore adjoint.
+//   * scratch — capacity-reserved vectors for the level sweeps, slack
+//     aggregation, endpoint seeding and the Elmore adjoint, plus one
+//     RsmtScratch per dispatch slot for the pooled tree rebuild.
 //
 // Zero-allocation contract: after construction (and the first forward), a
 // forward pass — drag path or full Steiner rebuild (build_trees, which builds
@@ -45,11 +46,8 @@
 
 namespace dtp::sta {
 
-// Per-dispatch-slot scratch for the level-parallel kernels (workers use their
-// worker id as slot, the dispatching thread and inline execution the caller
-// slot).  Cache-line aligned: update_pin resizes `values` for every pin, and
-// neighbouring slots must not share the line of that vector's end pointer.
-struct alignas(64) LevelScratch {
+// Scratch of the forward level sweep's cell-arc aggregation (update_pin).
+struct LevelScratch {
   std::vector<ArcCandidate> cands;  // early-corner gathers (late uses the cache)
   std::vector<double> values;
   std::vector<double> weights;
@@ -172,7 +170,7 @@ class TimingWorkspace {
 
   // ---- scratch (capacity-reserved; resized only within capacity) ----
   std::vector<rsmt::RsmtScratch> rsmt_scratch;     // per dispatch slot
-  std::vector<LevelScratch> slots;                 // per dispatch slot
+  LevelScratch level_scratch;                      // forward level sweep
   std::vector<double> values, w_at, w_slew;        // serial sweeps
   std::vector<ArcCandidate> cands;                 // serial gathers
   std::vector<double> ep_scratch;                  // smooth slack accumulation

@@ -8,9 +8,7 @@
 // claim, but only on the iteration that switches timing on.  Every later
 // timing iteration is one two-lane job (the timer beside the density and
 // wirelength passes), inside which the rebuild, like every other timer job,
-// runs inline.  The level sweeps stay below the pool's work cutoff and run
-// inline anyway (the phase order of pooled sweeps is pinned by
-// tests/test_thread_pool.cpp); each lane is serial.
+// runs inline.  The level sweeps are serial loops; each lane is serial.
 //
 // If a change intentionally alters numerics, re-capture kPositionsHash from
 // a trusted build (print it with the message of the failing EXPECT_EQ).
@@ -86,12 +84,13 @@ TEST(FlowThreads, DiffTimingPlacementIndependentOfPoolSize) {
   }
 }
 
-// A forward sweep big enough to be one pooled phased job (at DTP_THREADS > 1)
-// must leave the same arrival times and slews, bit for bit, as the same sweep
+// The 10k-cell tree rebuild is a pooled job (at DTP_THREADS > 1) and must
+// leave the same arrival times and slews, bit for bit, as the same kernels
 // run inline.  The inline run is made by timing from inside a chunk of
-// another pool's job, where every dispatch runs inline; early (hold) analysis
-// is on, so both corners' jobs are compared.
-TEST(FlowThreads, PooledLevelSweepMatchesInlineSweep) {
+// another pool's job, where every dispatch runs inline; early (hold)
+// analysis is on, so both corners are compared.  The level sweeps are serial
+// at every thread count: propagate() dispatches no pool job.
+TEST(FlowThreads, PooledTreeKernelsMatchInlineKernels) {
   liberty::CellLibrary lib = liberty::make_synthetic_library();
   workload::WorkloadOptions wopts;
   wopts.seed = 7;
@@ -107,10 +106,11 @@ TEST(FlowThreads, PooledLevelSweepMatchesInlineSweep) {
   ThreadPool& pool = ThreadPool::global();
   const ThreadPoolStats s0 = pool.stats();
   pooled.build_trees();
-  pooled.run_elmore();
   const ThreadPoolStats s1 = pool.stats();
-  pooled.propagate();
+  pooled.run_elmore();
   const ThreadPoolStats s2 = pool.stats();
+  pooled.propagate();
+  const ThreadPoolStats s3 = pool.stats();
   ThreadPool outer(2);
   outer.parallel_for(0, 2, 2, [&](size_t, size_t i) {
     if (i != 0) return;
@@ -118,15 +118,16 @@ TEST(FlowThreads, PooledLevelSweepMatchesInlineSweep) {
     inlined.run_elmore();
     inlined.propagate();
   });
-  const ThreadPoolStats s3 = pool.stats();
+  const ThreadPoolStats s4 = pool.stats();
 
-  // Two jobs per propagate (late and early corner), one per tree kernel.
-  EXPECT_EQ(s1.parallel_for_calls - s0.parallel_for_calls, 2u);
-  EXPECT_EQ(s2.parallel_for_calls - s1.parallel_for_calls, 2u);
-  EXPECT_EQ(s3.inline_ranges - s2.inline_ranges, 4u);
+  // One job per tree kernel, none for the sweeps.
+  EXPECT_EQ(s1.parallel_for_calls - s0.parallel_for_calls, 1u);
+  EXPECT_EQ(s2.parallel_for_calls - s1.parallel_for_calls, 1u);
+  EXPECT_EQ(s3.parallel_for_calls - s2.parallel_for_calls, 0u);
+  EXPECT_EQ(s4.inline_ranges - s3.inline_ranges, 2u);
   if (pool.num_threads() > 1) {
-    EXPECT_EQ(s2.inline_ranges - s1.inline_ranges, 0u)
-        << "the 10k-cell sweep should be above the pool's work cutoff";
+    EXPECT_EQ(s1.inline_ranges - s0.inline_ranges, 0u)
+        << "the 10k-cell tree rebuild should be above the pool's work cutoff";
   }
   auto bits = [](double d) { return std::bit_cast<uint64_t>(d); };
   size_t mismatches = 0;
@@ -134,13 +135,16 @@ TEST(FlowThreads, PooledLevelSweepMatchesInlineSweep) {
     const auto p = static_cast<sta::PinId>(i);
     if (!graph.in_graph(p)) continue;
     for (int tr = 0; tr < 2; ++tr) {
+      const size_t k = i * 2 + static_cast<size_t>(tr);
       mismatches += bits(pooled.at(p, tr)) != bits(inlined.at(p, tr));
       mismatches += bits(pooled.slew(p, tr)) != bits(inlined.slew(p, tr));
       mismatches += bits(pooled.at_early(p, tr)) != bits(inlined.at_early(p, tr));
+      mismatches +=
+          bits(pooled.slew_early_data()[k]) != bits(inlined.slew_early_data()[k]);
     }
   }
   EXPECT_EQ(mismatches, 0u);
-  // Every swept level is booked once per corner in both schedules.
+  // Every swept level is booked once per corner.
   const auto& prof = pooled.level_profile();
   for (size_t l = 1; l < prof.size(); ++l) EXPECT_EQ(prof[l].calls, 2u) << l;
 }

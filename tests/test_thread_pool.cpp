@@ -1,5 +1,5 @@
 // Thread-pool correctness: coverage, blocking semantics, the caller as one of
-// the running threads, phase order, and dispatches that must never hang.
+// the running threads, and dispatches that must never hang.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -80,16 +80,20 @@ TEST(ThreadPool, BlocksUntilAllWorkDone) {
 TEST(ThreadPool, ChunksForFollowsTheWorkCutoff) {
   ThreadPool pool(4);
   const double chunk = ThreadPool::kMinChunkNs;
+  const size_t cap = ThreadPool::kChunksPerThread * 4;
+  // A job below kMinJobNs runs inline, however many chunks it would fill.
   EXPECT_EQ(pool.chunks_for(0.0), 1u);
   EXPECT_EQ(pool.chunks_for(1.99 * chunk), 1u);
-  EXPECT_EQ(pool.chunks_for(2.0 * chunk), 2u);
-  EXPECT_EQ(pool.chunks_for(7.5 * chunk), 7u);
-  EXPECT_EQ(pool.chunks_for(1e6 * chunk), ThreadPool::kChunksPerThread * 4);
-  // A one-range job below kMinJobNs runs inline.
-  EXPECT_EQ(pool.job_chunks(0.99 * ThreadPool::kMinJobNs), 1u);
-  EXPECT_EQ(pool.job_chunks(ThreadPool::kMinJobNs),
-            pool.chunks_for(ThreadPool::kMinJobNs));
-  EXPECT_GT(pool.job_chunks(ThreadPool::kMinJobNs), 1u);
+  EXPECT_EQ(pool.chunks_for(2.0 * chunk), 1u);
+  EXPECT_EQ(pool.chunks_for(7.5 * chunk), 1u);
+  EXPECT_EQ(pool.chunks_for(0.99 * ThreadPool::kMinJobNs), 1u);
+  // From the cutoff on: chunks of at least kMinChunkNs, at most
+  // kChunksPerThread per thread.
+  const size_t at_cutoff = pool.chunks_for(ThreadPool::kMinJobNs);
+  EXPECT_GT(at_cutoff, 1u);
+  EXPECT_EQ(at_cutoff,
+            std::min(cap, static_cast<size_t>(ThreadPool::kMinJobNs / chunk)));
+  EXPECT_EQ(pool.chunks_for(1e6 * chunk), cap);
 }
 
 // N threads means N running threads: three workers plus the caller.  Each of
@@ -119,56 +123,6 @@ TEST(ThreadPool, RunsChunksOnEveryThreadCallerIncluded) {
   EXPECT_EQ(caller_chunks.load(), 1);
 }
 
-// No chunk of phase k+1 starts before every chunk of phase k has finished,
-// and the phase hook runs once per phase, in between.
-TEST(ThreadPool, PhasesRunInOrder) {
-  ThreadPool pool(4);
-  constexpr size_t kPhases = 60;
-  std::vector<PoolPhase> phases;
-  size_t begin = 0;
-  for (size_t k = 0; k < kPhases; ++k) {
-    const size_t len = 1 + (k * 37) % 50;
-    phases.push_back({begin, begin + len, 1 + k % 9});
-    begin += len;
-  }
-  std::vector<std::atomic<int>> hits(begin);
-  std::vector<std::atomic<size_t>> started(kPhases), finished(kPhases);
-  std::vector<std::atomic<int>> hooks(kPhases);
-  std::atomic<int> order_errors{0};
-  for (int round = 0; round < 50; ++round) {
-    for (size_t k = 0; k < kPhases; ++k) {
-      started[k] = 0;
-      finished[k] = 0;
-      hooks[k] = 0;
-    }
-    pool.run_phases(
-        phases,
-        [&](size_t, size_t k, size_t lo, size_t hi) {
-          ++started[k];
-          if (k > 0 && (hooks[k - 1].load() != 1 ||
-                        finished[k - 1].load() != phases[k - 1].end -
-                                                      phases[k - 1].begin))
-            ++order_errors;
-          if (k + 1 < kPhases && started[k + 1].load() != 0) ++order_errors;
-          for (size_t i = lo; i < hi; ++i) {
-            if (i < phases[k].begin || i >= phases[k].end) ++order_errors;
-            ++hits[i];
-          }
-          finished[k] += hi - lo;
-        },
-        [&](size_t k) {
-          if (finished[k].load() != phases[k].end - phases[k].begin)
-            ++order_errors;
-          if (k + 1 < kPhases && started[k + 1].load() != 0) ++order_errors;
-          ++hooks[k];
-        });
-    for (size_t k = 0; k < kPhases; ++k) EXPECT_EQ(hooks[k].load(), 1);
-  }
-  EXPECT_EQ(order_errors.load(), 0);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 50);
-  EXPECT_EQ(pool.stats().inline_ranges, 0u);
-}
-
 // Many back-to-back pooled jobs of two tiny chunks: workers often wake after
 // the previous job already drained, which must neither lose a chunk of the
 // next job nor hang the dispatcher.  Bounded by the ctest TIMEOUT of this
@@ -180,25 +134,6 @@ TEST(ThreadPool, BackToBackTinyDispatchesNeverHang) {
   for (size_t d = 0; d < kDispatches; ++d)
     pool.parallel_for(0, out.size(), 2, [&](size_t, size_t i) { ++out[i]; });
   for (const int v : out) EXPECT_EQ(v, static_cast<int>(kDispatches));
-}
-
-// The same for phased jobs: a tiny split phase, a serial phase and another
-// split phase, back to back.
-TEST(ThreadPool, BackToBackPhasedJobsNeverHang) {
-  ThreadPool pool(4);
-  constexpr size_t kDispatches = 50000;
-  const PoolPhase phases[] = {{0, 3, 3}, {3, 5, 1}, {5, 9, 2}};
-  std::vector<int> out(9, 0);
-  int hooks = 0;
-  for (size_t d = 0; d < kDispatches; ++d)
-    pool.run_phases(
-        phases,
-        [&](size_t, size_t, size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i) ++out[i];
-        },
-        [&](size_t) { ++hooks; });
-  for (const int v : out) EXPECT_EQ(v, static_cast<int>(kDispatches));
-  EXPECT_EQ(hooks, static_cast<int>(3 * kDispatches));
 }
 
 // Two threads dispatching on one pool at once: each job still runs to its

@@ -273,33 +273,31 @@ TEST(ZeroAlloc, WirelengthSteadyStateIsAllocationFree) {
   EXPECT_GT(sink, 0.0);
 }
 
-TEST(ZeroAlloc, PhasedPoolJobIsAllocationFree) {
-  // A phased job on the global pool (pooled at DTP_THREADS > 1, inline at 1):
-  // publishing it, claiming chunks, the phase hand-offs, parking and waking
-  // never touch the heap.
+TEST(ZeroAlloc, PooledJobIsAllocationFree) {
+  // A parallel_for job on the global pool (pooled at DTP_THREADS > 1, inline
+  // at 1): publishing it, claiming chunks, parking and waking never touch
+  // the heap.
   ThreadPool& pool = ThreadPool::global();
   std::vector<double> out(4096, 0.0);
-  std::vector<PoolPhase> phases;
-  for (size_t b = 0; b < out.size(); b += 512)
-    phases.push_back({b, b + 512, pool.chunks_for(512 * ThreadPool::kMinChunkNs)});
-  std::vector<int> hooks(phases.size(), 0);
+  const size_t chunks = pool.chunks_for(ThreadPool::kMinJobNs);
   auto job = [&] {
-    pool.run_phases(
-        phases,
-        [&](size_t, size_t k, size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i)
-            out[i] += static_cast<double>(k) + (i > 0 ? 0.0 : 1.0);
-        },
-        [&](size_t k) { ++hooks[k]; });
+    pool.parallel_for(0, out.size(), chunks, [&](size_t, size_t i) {
+      out[i] += 1.0 + static_cast<double>(i % 8);
+    });
   };
   job();
+  const ThreadPoolStats s0 = pool.stats();
   const long before = g_alloc_count.load(std::memory_order_relaxed);
   for (int round = 0; round < 100; ++round) job();
   const long after = g_alloc_count.load(std::memory_order_relaxed);
+  const ThreadPoolStats s1 = pool.stats();
   EXPECT_EQ(after - before, 0L);
-  for (const int h : hooks) EXPECT_EQ(h, 101);
   EXPECT_EQ(out[0], 101.0);
-  EXPECT_EQ(out[4095], 101.0 * 7.0);
+  EXPECT_EQ(out[4095], 101.0 * 8.0);
+  // At more than one thread the rounds really went through the pool.
+  if (pool.num_threads() > 1) {
+    EXPECT_EQ(s1.inline_ranges - s0.inline_ranges, 0u);
+  }
 }
 
 }  // namespace
