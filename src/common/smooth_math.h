@@ -12,6 +12,12 @@
 //
 // All implementations below are numerically stable (max-subtracted) and come
 // with analytic gradients used by the differentiable timer's backward pass.
+//
+// smooth_max / smooth_min skip the one exp whose answer is known: the extreme
+// operand's weight is exp((m - m) / gamma) = exp(+0), which IEEE 754 (C Annex
+// F) defines as exactly 1, so it is stored as 1.0.  Other operands equal to
+// the extreme (ties) still go through exp and get the same 1.0.  Values and
+// weights are bitwise what the plain loop gives.
 #pragma once
 
 #include <algorithm>
@@ -41,7 +47,8 @@ inline double smooth_max(const double* xs, size_t n, double gamma,
                          double* weights) {
   DTP_ASSERT(n > 0);
   DTP_ASSERT(gamma > 0.0);
-  const double m = *std::max_element(xs, xs + n);
+  const double* top = std::max_element(xs, xs + n);
+  const double m = *top;
   if (!std::isfinite(m)) {
     // Degenerate: every operand is -inf. Put all weight on the first operand;
     // the value propagates as -inf and the gradient is irrelevant.
@@ -49,9 +56,10 @@ inline double smooth_max(const double* xs, size_t n, double gamma,
     weights[0] = 1.0;
     return m;
   }
+  const size_t top_i = static_cast<size_t>(top - xs);
   double sum = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    weights[i] = std::exp((xs[i] - m) / gamma);
+    weights[i] = i == top_i ? 1.0 : std::exp((xs[i] - m) / gamma);
     sum += weights[i];
   }
   for (size_t i = 0; i < n; ++i) weights[i] /= sum;
@@ -72,7 +80,8 @@ inline double smooth_min(std::span<const double> xs, double gamma,
                          std::vector<double>& weights) {
   DTP_ASSERT(!xs.empty());
   DTP_ASSERT(gamma > 0.0);
-  const double m = *std::min_element(xs.begin(), xs.end());
+  const auto bottom = std::min_element(xs.begin(), xs.end());
+  const double m = *bottom;
   weights.resize(xs.size());
   if (!std::isfinite(m)) {
     // Degenerate: every operand is +inf (or a -inf dominates).
@@ -80,9 +89,10 @@ inline double smooth_min(std::span<const double> xs, double gamma,
     weights[0] = 1.0;
     return m;
   }
+  const size_t bottom_i = static_cast<size_t>(bottom - xs.begin());
   double sum = 0.0;
   for (size_t i = 0; i < xs.size(); ++i) {
-    weights[i] = std::exp((m - xs[i]) / gamma);
+    weights[i] = i == bottom_i ? 1.0 : std::exp((m - xs[i]) / gamma);
     sum += weights[i];
   }
   for (double& w : weights) w /= sum;

@@ -186,7 +186,7 @@ void DiffTimer::backward(double t1, double t2, double h1, double h2,
   // sweep cached; the hold corner re-gathers against the early state.
   const double* slew = timer_.slew_data();
   const auto level_offsets = graph.level_offsets();
-  const sta::TimingWorkspace::AdjointRecord* records = ws.adjoint.data();
+  const sta::TimingWorkspace::SlotRecord* records = ws.records.data();
   using Fanin = sta::TimingWorkspace::Fanin;
 
   DTP_PROF_SCOPE("sta_bwd_levels");
@@ -196,7 +196,7 @@ void DiffTimer::backward(double t1, double t2, double h1, double h2,
         static_cast<size_t>(level_offsets[static_cast<size_t>(l) + 1]);
     for (size_t i = static_cast<size_t>(level_offsets[static_cast<size_t>(l)]);
          i < level_end; ++i) {
-      const sta::TimingWorkspace::AdjointRecord& rec = records[i];
+      const sta::TimingWorkspace::SlotRecord& rec = records[i];
       const PinId v = rec.pin;
       if (rec.kind == Fanin::Net) {
         // Eq. 10: single fan-in wire arc.

@@ -20,6 +20,7 @@ void elmore_backward(const sta::NetTimingView& nt,
   DTP_ASSERT(gx.size() == m && gy.size() == m);
   DTP_ASSERT(scratch.gbeta.size() >= m && scratch.gldelay.size() >= m &&
              scratch.gdelay.size() >= m && scratch.gload.size() >= m);
+  if (m == 0) return;
   const auto& topo = tree.topo_order;
 
   double* gbeta = scratch.gbeta.data();
@@ -41,42 +42,35 @@ void elmore_backward(const sta::NetTimingView& nt,
     gbeta[static_cast<size_t>(p)] += gbeta[static_cast<size_t>(v)];
   }
 
-  // R2 (top-down): gLDelay.
-  for (size_t v = 0; v < m; ++v) gldelay[v] = 0.0;
+  // R2 (top-down): gLDelay.  A node's gLDelay is final once written, so it
+  // also seeds the node's own gDelay term for R3.
+  const size_t root = static_cast<size_t>(tree.root);
+  gldelay[root] = 0.0;
+  gdelay[root] = g_delay[root] + nt.node_cap[root] * gldelay[root] -
+                 2.0 * nt.delay[root] * imp2_grad(root);
   for (size_t k = 1; k < m; ++k) {
-    const int v = topo[k];
-    const int p = tree.nodes[static_cast<size_t>(v)].parent;
-    gldelay[static_cast<size_t>(v)] = nt.edge_res[static_cast<size_t>(v)] *
-                                          gbeta[static_cast<size_t>(v)] +
-                                      gldelay[static_cast<size_t>(p)];
-  }
-
-  // R3 (bottom-up): gDelay.
-  for (size_t v = 0; v < m; ++v) {
+    const size_t v = static_cast<size_t>(topo[k]);
+    const size_t p = static_cast<size_t>(tree.nodes[v].parent);
+    gldelay[v] = nt.edge_res[v] * gbeta[v] + gldelay[p];
     gdelay[v] = g_delay[v] + nt.node_cap[v] * gldelay[v] -
                 2.0 * nt.delay[v] * imp2_grad(v);
   }
+
+  // R3 (bottom-up): gDelay.
   for (size_t k = m; k-- > 1;) {
     const int v = topo[k];
     const int p = tree.nodes[static_cast<size_t>(v)].parent;
     gdelay[static_cast<size_t>(p)] += gdelay[static_cast<size_t>(v)];
   }
 
-  // R4 (top-down): gLoad.
-  for (size_t v = 0; v < m; ++v) gload[v] = 0.0;
-  gload[static_cast<size_t>(tree.root)] = g_load_root;
-  for (size_t k = 1; k < m; ++k) {
-    const int v = topo[k];
-    const int p = tree.nodes[static_cast<size_t>(v)].parent;
-    gload[static_cast<size_t>(v)] = nt.edge_res[static_cast<size_t>(v)] *
-                                        gdelay[static_cast<size_t>(v)] +
-                                    gload[static_cast<size_t>(p)];
-  }
-
-  // Pointwise: gCap, gRes -> edge-length gradient -> coordinates.
+  // R4 (top-down): gLoad, and with it the pointwise part: gCap, gRes ->
+  // edge-length gradient -> coordinates.  Both ends of v's edge are final
+  // once gLoad(v) is (its parent came earlier in topological order).
+  gload[root] = g_load_root;
   for (size_t k = 1; k < m; ++k) {
     const size_t v = static_cast<size_t>(topo[k]);
     const size_t p = static_cast<size_t>(tree.nodes[v].parent);
+    gload[v] = nt.edge_res[v] * gdelay[v] + gload[p];
     const double gcap_v = gload[v] + nt.delay[v] * gldelay[v];
     const double gcap_p = gload[p] + nt.delay[p] * gldelay[p];
     const double gres = nt.load[v] * gdelay[v] + nt.ldelay[v] * gbeta[v];

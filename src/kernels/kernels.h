@@ -76,19 +76,28 @@ void density_gather(const DensityGrid& grid, const DensityCells& cells,
 // ---- wirelength ---------------------------------------------------------
 // Per-axis weighted-average value and gradient for one net; grads is
 // overwritten.  ep/em are caller-provided scratch of size n.  Exp sums are
-// shifted by cmax/cmin for stability.
+// shifted by cmax/cmin for stability.  The extreme pins' own weights are
+// exp(+0) and exp(-0), exactly 1 under IEEE 754, so they are stored as 1.0
+// without calling exp (ties with the extreme still call it and get 1.0).
 inline double wa_axis(const double* DTP_RESTRICT coords, size_t n, double gamma,
                       double* DTP_RESTRICT grads, double* DTP_RESTRICT ep,
                       double* DTP_RESTRICT em) {
   double cmax = coords[0], cmin = coords[0];
+  size_t imax = 0, imin = 0;
   for (size_t i = 0; i < n; ++i) {
-    cmax = std::max(cmax, coords[i]);
-    cmin = std::min(cmin, coords[i]);
+    if (cmax < coords[i]) {
+      cmax = coords[i];
+      imax = i;
+    }
+    if (coords[i] < cmin) {
+      cmin = coords[i];
+      imin = i;
+    }
   }
   double sp = 0.0, tp = 0.0, sm = 0.0, tm = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    ep[i] = std::exp((coords[i] - cmax) / gamma);
-    em[i] = std::exp(-(coords[i] - cmin) / gamma);
+    ep[i] = i == imax ? 1.0 : std::exp((coords[i] - cmax) / gamma);
+    em[i] = i == imin ? 1.0 : std::exp(-(coords[i] - cmin) / gamma);
     sp += ep[i];
     tp += coords[i] * ep[i];
     sm += em[i];

@@ -1,6 +1,8 @@
 #include "liberty/lut.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "common/assert.h"
 
@@ -31,9 +33,55 @@ size_t Lut::lower_index(std::span<const double> axis, double q) {
   return i;
 }
 
+namespace {
+
+// Breakpoint-for-breakpoint identity, bit patterns included: two axes that
+// compare equal here locate every query in the same interval and feed the
+// interpolation the same operands.
+bool identical(std::span<const double> a, std::span<const double> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](double u, double v) {
+                      return std::bit_cast<uint64_t>(u) ==
+                             std::bit_cast<uint64_t>(v);
+                    });
+}
+
+// Value and slopes of the bilinear surface over cell (i, j) of `lut` at the
+// normalized offsets (tx, ty); dx, dy are the cell's extents.
+Lut::Query bilinear(const Lut& lut, size_t i, size_t j, double tx, double ty,
+                    double dx, double dy) {
+  const double v00 = lut.value_at(i, j), v01 = lut.value_at(i, j + 1);
+  const double v10 = lut.value_at(i + 1, j), v11 = lut.value_at(i + 1, j + 1);
+  // Bilinear surface v(tx, ty); also valid as extrapolation for tx/ty outside
+  // [0, 1] (the surface extends linearly, matching Liberty semantics).
+  const double a = v00;
+  const double b = v10 - v00;
+  const double c = v01 - v00;
+  const double d = v11 - v10 - v01 + v00;
+  Lut::Query q;
+  q.value = a + b * tx + c * ty + d * tx * ty;
+  q.d_dx = (b + d * ty) / dx;
+  q.d_dy = (c + d * tx) / dy;
+  return q;
+}
+
+}  // namespace
+
+bool Lut::same_axes(const Lut& other) const {
+  return identical(xs_, other.xs_) && identical(ys_, other.ys_);
+}
+
+bool Lut::same_y_axis(const Lut& other) const {
+  return identical(ys_, other.ys_);
+}
+
 double Lut::lookup(double x, double y) const { return lookup_grad(x, y).value; }
 
 Lut::Query Lut::lookup_grad(double x, double y) const {
+  return interpolate(x, y, locate_x(x), locate_y(y));
+}
+
+Lut::Query Lut::interpolate(double x, double y, size_t i, size_t j) const {
   Query q;
   const size_t nx = xs_.size(), ny = ys_.size();
   if (nx == 1 && ny == 1) {
@@ -42,7 +90,6 @@ Lut::Query Lut::lookup_grad(double x, double y) const {
   }
   if (nx == 1) {
     // 1-D interpolation along y.
-    const size_t j = lower_index(ys_, y);
     const double t = (y - ys_[j]) / (ys_[j + 1] - ys_[j]);
     const double v0 = values_[j], v1 = values_[j + 1];
     q.value = v0 + t * (v1 - v0);
@@ -50,31 +97,33 @@ Lut::Query Lut::lookup_grad(double x, double y) const {
     return q;
   }
   if (ny == 1) {
-    const size_t i = lower_index(xs_, x);
     const double t = (x - xs_[i]) / (xs_[i + 1] - xs_[i]);
     const double v0 = values_[i], v1 = values_[i + 1];
     q.value = v0 + t * (v1 - v0);
     q.d_dx = (v1 - v0) / (xs_[i + 1] - xs_[i]);
     return q;
   }
-  const size_t i = lower_index(xs_, x);
-  const size_t j = lower_index(ys_, y);
   const double x0 = xs_[i], x1 = xs_[i + 1];
   const double y0 = ys_[j], y1 = ys_[j + 1];
-  const double v00 = value_at(i, j), v01 = value_at(i, j + 1);
-  const double v10 = value_at(i + 1, j), v11 = value_at(i + 1, j + 1);
   const double tx = (x - x0) / (x1 - x0);
   const double ty = (y - y0) / (y1 - y0);
-  // Bilinear surface v(tx, ty); also valid as extrapolation for tx/ty outside
-  // [0, 1] (the surface extends linearly, matching Liberty semantics).
-  const double a = v00;
-  const double b = v10 - v00;
-  const double c = v01 - v00;
-  const double d = v11 - v10 - v01 + v00;
-  q.value = a + b * tx + c * ty + d * tx * ty;
-  q.d_dx = (b + d * ty) / (x1 - x0);
-  q.d_dy = (c + d * tx) / (y1 - y0);
-  return q;
+  return bilinear(*this, i, j, tx, ty, x1 - x0, y1 - y0);
+}
+
+void Lut::lookup_grad_pair(const Lut& a, const Lut& b, double x, double y,
+                           size_t j, Query& qa, Query& qb) {
+  const size_t i = a.locate_x(x);
+  if (a.xs_.size() == 1 || a.ys_.size() == 1) {
+    qa = a.interpolate(x, y, i, j);
+    qb = b.interpolate(x, y, i, j);
+    return;
+  }
+  const double x0 = a.xs_[i], x1 = a.xs_[i + 1];
+  const double y0 = a.ys_[j], y1 = a.ys_[j + 1];
+  const double tx = (x - x0) / (x1 - x0);
+  const double ty = (y - y0) / (y1 - y0);
+  qa = bilinear(a, i, j, tx, ty, x1 - x0, y1 - y0);
+  qb = bilinear(b, i, j, tx, ty, x1 - x0, y1 - y0);
 }
 
 }  // namespace dtp::liberty

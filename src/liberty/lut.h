@@ -11,6 +11,15 @@
 // d(value)/dy of the query.  Because bilinear interpolation is piecewise
 // differentiable, those are the slopes of the interpolating surface within the
 // selected cell; lookup_grad() returns them together with the value.
+//
+// A query is an axis search per dimension (locate_x / locate_y: the lower
+// breakpoint of the interpolation interval) followed by the interpolation
+// arithmetic.  The timer's hot path splits the two: a cell arc's delay and
+// transition tables usually share both axes (same_axes), so one x search
+// serves the pair (lookup_grad_pair) and one y search serves every table of a
+// pin that share the load axis.  Every split query is bitwise equal to
+// lookup_grad(x, y) on each table: the interval found is the same, and the
+// arithmetic after it is the same, operation for operation.
 #pragma once
 
 #include <span>
@@ -50,10 +59,31 @@ class Lut {
   };
   Query lookup_grad(double x, double y) const;
 
+  // Lower breakpoint index of the interpolation interval of a query on the x
+  // (resp. y) axis, clamped to [0, n-2] so that out-of-range queries
+  // extrapolate on the edge interval; 0 on a single-breakpoint axis.
+  size_t locate_x(double x) const { return lower_index(xs_, x); }
+  size_t locate_y(double y) const { return lower_index(ys_, y); }
+
+  // True when both tables have identical x axes and identical y axes, so one
+  // search per axis locates a query in both.
+  bool same_axes(const Lut& other) const;
+  bool same_y_axis(const Lut& other) const;
+
+  // lookup_grad(x, y) of two tables with same_axes(), given j = locate_y(y)
+  // (of either table): one x search serves both, and the interval geometry
+  // is computed once.  Bitwise equal to a.lookup_grad(x, y) and
+  // b.lookup_grad(x, y).
+  static void lookup_grad_pair(const Lut& a, const Lut& b, double x, double y,
+                               size_t j, Query& qa, Query& qb);
+
  private:
   // Index of the lower breakpoint of the interpolation interval for query q on
   // `axis` (clamped so extrapolation reuses the edge interval slope).
   static size_t lower_index(std::span<const double> axis, double q);
+  // The interpolation after the axis searches: i = locate_x(x), j =
+  // locate_y(y).
+  Query interpolate(double x, double y, size_t i, size_t j) const;
 
   std::vector<double> xs_;
   std::vector<double> ys_;

@@ -68,11 +68,10 @@ DensityStats DensityModel::update(std::span<const double> x,
 
   {
     DTP_TRACE_SCOPE("poisson_solve");
-    solver_.solve(rho_, psi_, field_x_, field_y_);
+    solver_.solve(rho_, field_x_, field_y_);
   }
 
   DensityStats stats;
-  stats.energy = PoissonSolver::energy(rho_, psi_);
   const double bin_area = bin_w_ * bin_h_;
   const double cap = target_density_ * bin_area;
   double over = 0.0;

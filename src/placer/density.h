@@ -7,10 +7,11 @@
 // smaller than a bin.  Fixed cells with area (macros) would deposit immovable
 // charge; IO pads are zero-area and contribute nothing.
 //
-// From the bin densities the PoissonSolver yields the potential and field;
-// the force on a cell is its charge times the field averaged over its
-// (inflated) footprint, bin-overlap weighted — the exact gradient of the
-// system energy with respect to the cell position under the same splat.
+// From the bin densities the PoissonSolver yields the field (the potential
+// itself is never needed, so it is not computed); the force on a cell is its
+// charge times the field averaged over its (inflated) footprint, bin-overlap
+// weighted — the exact gradient of the system energy with respect to the cell
+// position under the same splat.
 #pragma once
 
 #include <span>
@@ -25,7 +26,6 @@ namespace dtp::placer {
 struct DensityStats {
   double overflow = 0.0;      // sum max(0, rho - target) / total movable area
   double max_density = 0.0;   // peak bin density relative to bin area
-  double energy = 0.0;        // 0.5 * sum rho * psi
 };
 
 class DensityModel {
@@ -39,7 +39,7 @@ class DensityModel {
   double bin_h() const { return bin_h_; }
 
   // Splats movable cells at (x, y) (cell origins), solves the Poisson system
-  // and returns stats. Call before force().
+  // for its field and returns stats. Call before add_gradient().
   DensityStats update(std::span<const double> x, std::span<const double> y);
 
   // Accumulates (+=) the density gradient d(energy)/d(cell pos) into gx/gy.
@@ -50,7 +50,6 @@ class DensityModel {
                     std::span<double> gy) const;
 
   const std::vector<double>& bin_density() const { return rho_; }
-  const std::vector<double>& potential() const { return psi_; }
 
  private:
   // Borrowed views handed to the kernel layer's scatter/gather functions
@@ -66,7 +65,7 @@ class DensityModel {
   std::vector<char> movable_;
   double total_movable_area_ = 0.0;
   PoissonSolver solver_;
-  std::vector<double> rho_, psi_, field_x_, field_y_;
+  std::vector<double> rho_, field_x_, field_y_;
 };
 
 }  // namespace dtp::placer

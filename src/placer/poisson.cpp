@@ -68,13 +68,25 @@ PoissonSolver::PoissonSolver(int m, double width, double height) : m_(m) {
   impl_ = std::make_shared<Impl>(m, wu_scale_x_, wu_scale_y_);
 }
 
+void PoissonSolver::solve(const std::vector<double>& rho,
+                          std::vector<double>& field_x,
+                          std::vector<double>& field_y) const {
+  solve_into(rho, nullptr, field_x, field_y);
+}
+
 void PoissonSolver::solve(const std::vector<double>& rho, std::vector<double>& psi,
                           std::vector<double>& field_x,
                           std::vector<double>& field_y) const {
+  solve_into(rho, &psi, field_x, field_y);
+}
+
+void PoissonSolver::solve_into(const std::vector<double>& rho,
+                               std::vector<double>* psi,
+                               std::vector<double>& field_x,
+                               std::vector<double>& field_y) const {
   const int m = m_;
   const size_t mm = static_cast<size_t>(m) * m;
   DTP_ASSERT(rho.size() == mm);
-  psi.resize(mm);
   field_x.resize(mm);
   field_y.resize(mm);
 
@@ -157,19 +169,23 @@ void PoissonSolver::solve(const std::vector<double>& rho, std::vector<double>& p
     }
   }
 
-  // psi[x][y] = sum_u tmp2[u][y] C_u(x).
-  transpose(m, tmp2, a);  // a[y][u]
-  {
-    DTP_TRACE_SCOPE("pois_idct_cols");
-    if (plan != nullptr) {
-      kernels::idct_rows(*plan, a.data(), b.data(), um);  // b[y][x]
-    } else {
-      for (int y = 0; y < m; ++y)
-        direct->eval_cos(a.data() + static_cast<size_t>(y) * m,
-                         b.data() + static_cast<size_t>(y) * m);
+  // psi[x][y] = sum_u tmp2[u][y] C_u(x), when asked for.  The field passes
+  // below overwrite the scratch this uses before reading it.
+  if (psi != nullptr) {
+    psi->resize(mm);
+    transpose(m, tmp2, a);  // a[y][u]
+    {
+      DTP_TRACE_SCOPE("pois_idct_cols");
+      if (plan != nullptr) {
+        kernels::idct_rows(*plan, a.data(), b.data(), um);  // b[y][x]
+      } else {
+        for (int y = 0; y < m; ++y)
+          direct->eval_cos(a.data() + static_cast<size_t>(y) * m,
+                           b.data() + static_cast<size_t>(y) * m);
+      }
     }
+    transpose(m, b, *psi);
   }
-  transpose(m, b, psi);
 
   // field_x[x][y] = sum_u k_u tmp2[u][y] S_u(x).  The k_u scale rides the
   // transpose (fused twiddle+transpose pass).

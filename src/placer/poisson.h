@@ -35,12 +35,17 @@ class PoissonSolver {
 
   // rho: bin densities, row-major rho[x * m + y], in area units (splat of
   // cell areas; the solver is linear so scaling is the caller's business).
-  // Outputs (resized): potential psi and field components per bin.
+  // Outputs (resized): the field components per bin — all the density force
+  // needs.
+  void solve(const std::vector<double>& rho, std::vector<double>& field_x,
+             std::vector<double>& field_y) const;
+  // The same fields (bitwise), plus the potential psi per bin (resized), at
+  // the cost of one more inverse-cosine pass and two transposes.
   void solve(const std::vector<double>& rho, std::vector<double>& psi,
              std::vector<double>& field_x, std::vector<double>& field_y) const;
 
-  // System energy 0.5 * sum rho * psi of the last-solved configuration given
-  // the same rho/psi pair (monitoring only).
+  // System energy 0.5 * sum rho * psi of a solved rho/psi pair (tests and
+  // monitoring).
   static double energy(const std::vector<double>& rho,
                        const std::vector<double>& psi);
 
@@ -49,6 +54,11 @@ class PoissonSolver {
 
  private:
   struct Impl;
+  // Both solve()s: psi is filled only when non-null.
+  void solve_into(const std::vector<double>& rho, std::vector<double>* psi,
+                  std::vector<double>& field_x,
+                  std::vector<double>& field_y) const;
+
   int m_;
   double wu_scale_x_, wu_scale_y_;  // k_u = u * pi / W (resp. H)
   // Shared so the solver stays copyable; the scratch inside is per-solve

@@ -81,13 +81,16 @@ double insertion_length(RsmtScratch& s, int m, Vec2 p, double limit) {
 
 // Writes the tree over s.pts[0, m) (pins first, then Steiner points with
 // provenance s.src) into nodes/topo: an MST rooted at the driver, with a
-// parent-before-child BFS order (children in ascending index).
+// parent-before-child BFS order (children in ascending index).  `have_mst0`
+// says s already holds prim(s, m, 0); for driver 0 that is the MST wanted,
+// and Prim is not run again.
 int finalize(RsmtScratch& s, int m, int num_pins, int driver,
-             std::span<SteinerNode> nodes, std::span<int> topo) {
+             std::span<SteinerNode> nodes, std::span<int> topo,
+             bool have_mst0 = false) {
   DTP_ASSERT_MSG(static_cast<size_t>(m) <= nodes.size() &&
                      static_cast<size_t>(m) <= topo.size(),
                  "Steiner tree exceeds its output slot");
-  prim(s, m, driver);
+  if (!(have_mst0 && driver == 0)) prim(s, m, driver);
   const size_t n = static_cast<size_t>(m);
   for (size_t v = 0; v < n; ++v) {
     SteinerNode& node = nodes[v];
@@ -138,10 +141,16 @@ int build_median3(RsmtScratch& s, int driver, std::span<SteinerNode> nodes,
 
 // Iterated 1-Steiner (Kahng–Robins) over the pin Hanan grid, then the prune
 // pass.  Returns the final point count; Steiner points are s.pts[n, m).
-int kahng_robins(RsmtScratch& s, int n, const RsmtOptions& opts) {
+// `have_mst0` tells whether s holds prim(s, m, 0) of the returned point set
+// on return.  Only the Prim runs whose inputs changed are made: a round that
+// adds no point leaves the MST the prune pass starts from.
+int kahng_robins(RsmtScratch& s, int n, const RsmtOptions& opts,
+                 bool& have_mst0) {
   int m = n;
+  have_mst0 = false;
   for (int round = 0; round < opts.kr_max_rounds; ++round) {
     prim(s, m, 0);
+    have_mst0 = true;
     double best_len = mst_length(s, m);
     int best_i = -1, best_j = -1;
     for (int i = 0; i < n; ++i) {
@@ -163,12 +172,14 @@ int kahng_robins(RsmtScratch& s, int n, const RsmtOptions& opts) {
                                      s.pts[static_cast<size_t>(best_j)].y};
     s.src[static_cast<size_t>(m - n)] = {best_i, best_j};
     ++m;
+    have_mst0 = false;
   }
 
   // Prune Steiner points of MST degree <= 2: they cannot shorten a rectilinear
   // MST (triangle inequality), so dropping them never increases length.
   while (m > n) {
-    prim(s, m, 0);
+    if (!have_mst0) prim(s, m, 0);
+    have_mst0 = true;
     std::fill(s.degree.begin(), s.degree.begin() + m, 0);
     for (size_t v = 1; v < static_cast<size_t>(m); ++v) {
       ++s.degree[v];
@@ -185,6 +196,7 @@ int kahng_robins(RsmtScratch& s, int n, const RsmtOptions& opts) {
     std::copy(s.src.begin() + (drop - n) + 1, s.src.begin() + (m - n),
               s.src.begin() + (drop - n));
     --m;
+    have_mst0 = false;
   }
   return m;
 }
@@ -234,9 +246,10 @@ int build_rsmt_into(RsmtScratch& s, int num_pins, int driver,
   if (n <= 2 || !opts.enable_1steiner || n > opts.kr_max_pins)
     return finalize(s, n, n, driver, nodes, topo);
   ++s.counts.kr_refined;
-  const int m = kahng_robins(s, n, opts);
+  bool have_mst0 = false;
+  const int m = kahng_robins(s, n, opts, have_mst0);
   s.counts.steiner_points += static_cast<uint64_t>(m - n);
-  return finalize(s, m, n, driver, nodes, topo);
+  return finalize(s, m, n, driver, nodes, topo, have_mst0);
 }
 
 namespace {

@@ -9,12 +9,22 @@
 // enumeration in one helper guarantees every consumer sees identical
 // candidate sets.
 //
+// Each candidate queries its arc's delay and transition tables at the same
+// (input slew, load).  When the caller passes a located load interval
+// (load_index, from Lut::locate_y on the pin's reference table), the pair
+// shares one slew search (Lut::lookup_grad_pair) and every candidate of the
+// pin shares the load search.  That is valid only for pins whose fan-in
+// tables share their axes (shares_lut_axes, checked once when the workspace
+// is built); other pins pass kSearchLoad and each table searches its own
+// axes.  Both ways give bitwise-identical queries.
+//
 // The liberty arc is passed resolved (the graph stores an index into its
 // liberty-arc table, not a pointer), so callers write
 //   gather_arc_candidates(graph.lib_arc(arc.lib_arc), arc.from, ...).
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "liberty/lut.h"
@@ -42,6 +52,20 @@ inline int input_transitions(liberty::Unateness unate, int tr_out, int out[2]) {
   return 0;
 }
 
+// load_index value asking every table to search its own axes.
+inline constexpr size_t kSearchLoad = SIZE_MAX;
+
+// True when one load search on `load_ref`'s y axis and one slew search per
+// candidate locate every query of `lib`: each output transition's delay and
+// transition tables have identical axes, and their load axis is load_ref's.
+inline bool shares_lut_axes(const liberty::TimingArc& lib,
+                            const liberty::Lut& load_ref) {
+  return lib.cell_rise.same_axes(lib.rise_transition) &&
+         lib.cell_fall.same_axes(lib.fall_transition) &&
+         lib.cell_rise.same_y_axis(load_ref) &&
+         lib.cell_fall.same_y_axis(load_ref);
+}
+
 struct ArcCandidate {
   PinId from = netlist::kInvalidId;
   int tr_in = 0;
@@ -54,12 +78,14 @@ struct ArcCandidate {
 // `out` starting at `out[count]`, advancing `count` (allocation-free; the
 // caller guarantees room for the arc's static candidate count, i.e. what
 // input_transitions() returns for its unateness).  `at` / `slew` are the
-// [pin*2 + tr] state arrays; `load` is the driven net's root load.
+// [pin*2 + tr] state arrays; `load` is the driven net's root load and
+// `load_index` its located interval, or kSearchLoad (see the file comment).
 // Candidates whose source AT is non-finite (unreachable pin) are skipped.
 inline void gather_arc_candidates(const liberty::TimingArc& lib, PinId from,
                                   int tr_out, const double* at,
                                   const double* slew, double load,
-                                  ArcCandidate* out, int& count) {
+                                  size_t load_index, ArcCandidate* out,
+                                  int& count) {
   const liberty::Lut& delay_lut = (tr_out == kRise) ? lib.cell_rise : lib.cell_fall;
   const liberty::Lut& slew_lut =
       (tr_out == kRise) ? lib.rise_transition : lib.fall_transition;
@@ -73,8 +99,13 @@ inline void gather_arc_candidates(const liberty::TimingArc& lib, PinId from,
     ArcCandidate& cand = out[count++];
     cand.from = from;
     cand.tr_in = tr_in;
-    cand.delay_q = delay_lut.lookup_grad(slew[idx], load);
-    cand.slew_q = slew_lut.lookup_grad(slew[idx], load);
+    if (load_index != kSearchLoad) {
+      liberty::Lut::lookup_grad_pair(delay_lut, slew_lut, slew[idx], load,
+                                     load_index, cand.delay_q, cand.slew_q);
+    } else {
+      cand.delay_q = delay_lut.lookup_grad(slew[idx], load);
+      cand.slew_q = slew_lut.lookup_grad(slew[idx], load);
+    }
     cand.at_value = at_u + cand.delay_q.value;
   }
 }
@@ -83,12 +114,13 @@ inline void gather_arc_candidates(const liberty::TimingArc& lib, PinId from,
 inline void gather_arc_candidates(const liberty::TimingArc& lib, PinId from,
                                   int tr_out, const double* at,
                                   const double* slew, double load,
-                                  std::vector<ArcCandidate>& out) {
+                                  std::vector<ArcCandidate>& out,
+                                  size_t load_index = kSearchLoad) {
   const size_t base = out.size();
   out.resize(base + 2);
   int count = 0;
-  gather_arc_candidates(lib, from, tr_out, at, slew, load, out.data() + base,
-                        count);
+  gather_arc_candidates(lib, from, tr_out, at, slew, load, load_index,
+                        out.data() + base, count);
   out.resize(base + static_cast<size_t>(count));
 }
 

@@ -268,25 +268,61 @@ void Timer::propagate() {
 
 void Timer::sweep_levels(bool early) {
   // Level by level in flat (level-major, pin-ascending) schedule order,
-  // serial on the calling thread; each level books its own wall-clock.
+  // serial on the calling thread, streaming the workspace's slot records;
+  // each level books its own wall-clock.  Net pins take their wire source
+  // and arena node from the record; cell pins run update_cell_pin.
   DTP_PROF_SCOPE("sta_levels");
+  TimingWorkspace& ws = *ws_;
+  double* at = early ? ws.at_early.data() : ws.at.data();
+  double* slew = early ? ws.slew_early.data() : ws.slew.data();
+  const auto offsets = graph_->level_offsets();
+  const TimingWorkspace::SlotRecord* records = ws.records.data();
+  using Fanin = TimingWorkspace::Fanin;
   for (int l = 1; l < graph_->num_levels(); ++l) {
     const auto start = std::chrono::steady_clock::now();
-    for (const PinId p : graph_->level(l)) update_pin(p, early);
+    const size_t end = static_cast<size_t>(offsets[static_cast<size_t>(l) + 1]);
+    for (size_t i = static_cast<size_t>(offsets[static_cast<size_t>(l)]);
+         i < end; ++i) {
+      const TimingWorkspace::SlotRecord& rec = records[i];
+      if (rec.kind == Fanin::Net) {
+        // Every non-source pin was reset by init_sources, so a plain store
+        // leaves what update_pin's compare-and-store would.
+        const size_t node = static_cast<size_t>(rec.node);
+        const double d = ws.used_delay[node];
+        const double imp2 = ws.imp2[node];
+        for (int tr = 0; tr < 2; ++tr) {
+          const size_t vi =
+              static_cast<size_t>(rec.pin) * 2 + static_cast<size_t>(tr);
+          const size_t ui =
+              static_cast<size_t>(rec.from) * 2 + static_cast<size_t>(tr);
+          at[vi] = at[ui] + d;                                // Eq. 9a
+          slew[vi] = std::sqrt(slew[ui] * slew[ui] + imp2);   // Eq. 9b
+        }
+      } else if (rec.kind == Fanin::Cell) {
+        update_cell_pin(rec.pin, rec.driven, early);
+      }
+    }
     level_profile_[static_cast<size_t>(l)].add_since(start);
   }
 }
 
 bool Timer::update_pin(PinId v, bool early) {
-  TimingWorkspace& ws = *ws_;
-  double* at = early ? ws.at_early.data() : ws.at.data();
-  double* slew = early ? ws.slew_early.data() : ws.slew.data();
-  const bool smooth = options_.mode == AggMode::Smooth;
-  const double gamma = options_.gamma;
-
   const auto fanin = graph_->fanin(v);
   if (fanin.empty()) return false;  // sources keep their initial conditions
   const Arc& first = graph_->arcs()[static_cast<size_t>(fanin[0])];
+  if (first.kind == ArcKind::CellArc)
+    return update_cell_pin(v, graph_->driven_timing_net(v), early);
+
+  // Exactly one fan-in net arc per pin (Eq. 9): no aggregation needed.
+  DTP_ASSERT(fanin.size() == 1);
+  TimingWorkspace& ws = *ws_;
+  double* at = early ? ws.at_early.data() : ws.at.data();
+  double* slew = early ? ws.slew_early.data() : ws.slew.data();
+  // Tree pin index == net-pin index of the sink.
+  const size_t node = static_cast<size_t>(ws.forest.node_offset(first.net)) +
+                      static_cast<size_t>(first.sink_index);
+  const double d = ws.used_delay[node];
+  const double imp2 = ws.imp2[node];
   bool changed = false;
   auto store = [&](size_t idx, double value, double* array) {
     if (array[idx] != value) {
@@ -294,24 +330,29 @@ bool Timer::update_pin(PinId v, bool early) {
       changed = true;
     }
   };
-
-  if (first.kind == ArcKind::NetArc) {
-    // Exactly one fan-in net arc per pin (Eq. 9): no aggregation needed.
-    DTP_ASSERT(fanin.size() == 1);
-    // Tree pin index == net-pin index of the sink.
-    const size_t node =
-        static_cast<size_t>(ws.forest.node_offset(first.net)) +
-        static_cast<size_t>(first.sink_index);
-    const double d = ws.used_delay[node];
-    const double imp2 = ws.imp2[node];
-    for (int tr = 0; tr < 2; ++tr) {
-      const size_t vi = static_cast<size_t>(v) * 2 + static_cast<size_t>(tr);
-      const size_t ui = static_cast<size_t>(first.from) * 2 + static_cast<size_t>(tr);
-      store(vi, at[ui] + d, at);                                    // Eq. 9a
-      store(vi, std::sqrt(slew[ui] * slew[ui] + imp2), slew);       // Eq. 9b
-    }
-    return changed;
+  for (int tr = 0; tr < 2; ++tr) {
+    const size_t vi = static_cast<size_t>(v) * 2 + static_cast<size_t>(tr);
+    const size_t ui = static_cast<size_t>(first.from) * 2 + static_cast<size_t>(tr);
+    store(vi, at[ui] + d, at);                                    // Eq. 9a
+    store(vi, std::sqrt(slew[ui] * slew[ui] + imp2), slew);       // Eq. 9b
   }
+  return changed;
+}
+
+bool Timer::update_cell_pin(PinId v, NetId out_net, bool early) {
+  TimingWorkspace& ws = *ws_;
+  double* at = early ? ws.at_early.data() : ws.at.data();
+  double* slew = early ? ws.slew_early.data() : ws.slew.data();
+  const bool smooth = options_.mode == AggMode::Smooth;
+  const double gamma = options_.gamma;
+  const auto fanin = graph_->fanin(v);
+  bool changed = false;
+  auto store = [&](size_t idx, double value, double* array) {
+    if (array[idx] != value) {
+      array[idx] = value;
+      changed = true;
+    }
+  };
 
   // Cell arcs: aggregate candidates per output transition (Eq. 11).  The late
   // corner writes its candidates into the workspace cache, where the backward
@@ -321,9 +362,14 @@ bool Timer::update_pin(PinId v, bool early) {
   // Live-stack-only label: per-pin, far too hot for the trace ring, but the
   // sampler sees the sweep inside the LUT-gather/aggregate section.
   DTP_PROF_SCOPE("lut_interp");
-  const NetId out_net = graph_->driven_timing_net(v);
   const double load =
       out_net == netlist::kInvalidId ? 0.0 : ws.net_root_load(out_net);
+  // One load search for the whole pin when its tables share their axes.
+  const size_t load_index =
+      ws.cand_shared_axes[static_cast<size_t>(v)]
+          ? graph_->lib_arc(graph_->arcs()[static_cast<size_t>(fanin[0])].lib_arc)
+                .cell_rise.locate_y(load)
+          : kSearchLoad;
   LevelScratch& scratch = ws.level_scratch;
   std::vector<double>& values = scratch.values;
   std::vector<double>& weights = scratch.weights;
@@ -338,7 +384,7 @@ bool Timer::update_pin(PinId v, bool early) {
         const Arc& arc = graph_->arcs()[static_cast<size_t>(ai)];
         DTP_ASSERT(arc.kind == ArcKind::CellArc);
         gather_arc_candidates(graph_->lib_arc(arc.lib_arc), arc.from, tr_out,
-                              at, slew, load, out, count);
+                              at, slew, load, load_index, out, count);
       }
       ws.cand_count[static_cast<size_t>(v) * 2 + static_cast<size_t>(tr_out)] =
           count;
@@ -349,7 +395,7 @@ bool Timer::update_pin(PinId v, bool early) {
         const Arc& arc = graph_->arcs()[static_cast<size_t>(ai)];
         DTP_ASSERT(arc.kind == ArcKind::CellArc);
         gather_arc_candidates(graph_->lib_arc(arc.lib_arc), arc.from, tr_out,
-                              at, slew, load, scratch.cands);
+                              at, slew, load, scratch.cands, load_index);
       }
       cands = scratch.cands.data();
       count = static_cast<int>(scratch.cands.size());

@@ -246,6 +246,9 @@ class Timer {
   void publish_rsmt_counts();
   // Recomputes at/slew of one pin from its fan-in; returns true if changed.
   bool update_pin(PinId v, bool early);
+  // update_pin for a pin with cell-arc fan-in that drives `out_net`
+  // (kInvalidId: none).
+  bool update_cell_pin(PinId v, NetId out_net, bool early);
 
   const netlist::Design* design_;
   const TimingGraph* graph_;

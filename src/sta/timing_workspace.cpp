@@ -99,6 +99,7 @@ TimingWorkspace::TimingWorkspace(const netlist::Design& design,
   // ---- candidate cache layout (static candidate count per transition) ----
   cand_base.assign(n_pins, -1);
   cand_tr_cap.assign(n_pins, 0);
+  cand_shared_axes.assign(n_pins, 0);
   cand_count.assign(n_pins * 2, 0);
   size_t cand_total = 0;
   size_t max_fanin = 1;
@@ -108,12 +109,18 @@ TimingWorkspace::TimingWorkspace(const netlist::Design& design,
     if (graph.arcs()[static_cast<size_t>(fanin[0])].kind != ArcKind::CellArc)
       continue;
     int per_tr = 0;
+    const liberty::Lut& load_ref =
+        graph.lib_arc(graph.arcs()[static_cast<size_t>(fanin[0])].lib_arc)
+            .cell_rise;
+    bool shared = true;
     for (const int ai : fanin) {
+      const liberty::TimingArc& lib =
+          graph.lib_arc(graph.arcs()[static_cast<size_t>(ai)].lib_arc);
       int trs[2];
-      per_tr += input_transitions(
-          graph.lib_arc(graph.arcs()[static_cast<size_t>(ai)].lib_arc).unate,
-          kRise, trs);
+      per_tr += input_transitions(lib.unate, kRise, trs);
+      shared = shared && shares_lut_axes(lib, load_ref);
     }
+    cand_shared_axes[p] = shared ? 1 : 0;
     max_fanin = std::max(max_fanin, fanin.size());
     cand_base[p] = static_cast<int>(cand_total);
     cand_tr_cap[p] = per_tr;
@@ -127,12 +134,12 @@ TimingWorkspace::TimingWorkspace(const netlist::Design& design,
   // The vector-appending gather reserves two slots per arc before trimming.
   max_candidates_ = 2 * max_fanin;
 
-  // ---- static backward records ----
+  // ---- static slot records ----
   const auto schedule = graph.level_pins();
-  adjoint.resize(schedule.size());
+  records.resize(schedule.size());
   for (size_t i = 0; i < schedule.size(); ++i) {
     const PinId v = schedule[i];
-    AdjointRecord& r = adjoint[i];
+    SlotRecord& r = records[i];
     r.pin = v;
     r.driven = graph.driven_timing_net(v);
     const auto fanin = graph.fanin(v);

@@ -16,10 +16,13 @@
 //   * the cell-arc candidate cache — the forward sweep records each pin's
 //     gathered candidates (LUT queries included) and, in smooth mode, their
 //     AT and slew softmax weights; the backward sweep and the RAT sweep reuse
-//     them instead of re-running lookup_grad and the LSE;
-//   * static backward records — one per level-schedule slot (fan-in kind,
-//     wire source and arena node, driven net) plus a net-pin slot -> pin
-//     table, so the adjoint sweep streams flat arrays;
+//     them instead of re-running lookup_grad and the LSE.  Beside it, a
+//     per-pin flag set at construction says whether the pin's fan-in tables
+//     share their axes, so one load search serves the whole pin;
+//   * static slot records — one per level-schedule slot (fan-in kind, wire
+//     source and arena node, driven net) plus a net-pin slot -> pin table.
+//     Both level sweeps stream them: the forward sweep in schedule order, the
+//     adjoint sweep level by level in reverse;
 //   * scratch — capacity-reserved vectors for the level sweeps, slack
 //     aggregation, endpoint seeding and the Elmore adjoint, plus one
 //     RsmtScratch per dispatch slot for the pooled tree rebuild.
@@ -135,22 +138,26 @@ class TimingWorkspace {
   }
   std::vector<int> cand_base;    // per pin; -1 when no cell-arc fan-in
   std::vector<int> cand_tr_cap;  // per pin: capacity per transition
+  // Per pin: every fan-in arc's tables pass shares_lut_axes against the first
+  // fan-in arc's cell_rise, whose locate_y then serves all of the pin's
+  // queries.  0 falls back to per-table axis searches.
+  std::vector<char> cand_shared_axes;
   std::vector<int> cand_count;   // [pin*2 + tr_out]: cached candidate count
   std::vector<ArcCandidate> cand;
   std::vector<double> cand_w_at, cand_w_slew;  // smooth mode only
 
-  // ---- static backward records ----
+  // ---- static slot records ----
   // One record per slot of the level schedule (graph.level_pins() order), so
-  // the reverse sweep reads them in sequence.
+  // the forward and reverse sweeps read them in sequence.
   enum class Fanin : uint8_t { None, Net, Cell };
-  struct AdjointRecord {
+  struct SlotRecord {
     PinId pin = netlist::kInvalidId;
     PinId from = netlist::kInvalidId;  // Net: the wire arc's driver pin
     int node = -1;                     // Net: this sink's arena node
     NetId driven = netlist::kInvalidId;  // timing net the pin drives
     Fanin kind = Fanin::None;
   };
-  std::vector<AdjointRecord> adjoint;
+  std::vector<SlotRecord> records;
 
   // ---- adjoint state (backward pass) ----
   std::vector<double> g_at, g_slew;
