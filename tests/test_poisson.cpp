@@ -2,6 +2,7 @@
 // grid (uniform charge -> no field; discrete Laplacian residual; symmetry).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -156,6 +157,27 @@ TEST(Poisson, NonPowerOfTwoGridCountsSlowPathSolves) {
   const uint64_t mid = slow.value();
   fast.solve(rho16, psi, ex, ey);
   EXPECT_EQ(slow.value(), mid);
+}
+
+// The fields-only solve (the density model's) skips the potential's inverse
+// transform and leaves the fields bit for bit as the solve that also returns
+// psi, on the FFT path and on the direct path.
+TEST(Poisson, FieldsOnlySolveMatchesSolveWithPotential) {
+  for (const int m : {32, 12}) {
+    PoissonSolver solver(m, 80.0, 60.0);
+    Rng rng(static_cast<uint64_t>(m));
+    std::vector<double> rho(static_cast<size_t>(m) * m);
+    for (double& r : rho) r = rng.uniform(0.0, 4.0);
+    std::vector<double> psi, ex, ey, fx, fy;
+    solver.solve(rho, psi, ex, ey);
+    solver.solve(rho, fx, fy);
+    ASSERT_EQ(fx.size(), ex.size());
+    ASSERT_EQ(fy.size(), ey.size());
+    for (size_t i = 0; i < ex.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(fx[i]), std::bit_cast<uint64_t>(ex[i]));
+      EXPECT_EQ(std::bit_cast<uint64_t>(fy[i]), std::bit_cast<uint64_t>(ey[i]));
+    }
+  }
 }
 
 }  // namespace

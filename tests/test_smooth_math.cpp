@@ -1,13 +1,68 @@
 // Unit and property tests for the LSE smoothing utilities (paper Eq. 5).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/rng.h"
 #include "common/smooth_math.h"
 
 namespace dtp {
 namespace {
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// The plain LSE loops smooth_max / smooth_min started from: exp on every
+// operand, the extreme one included.  The oracle for the exactness tests.
+double plain_smooth_max(const std::vector<double>& xs, double gamma,
+                        std::vector<double>& w) {
+  const double m = *std::max_element(xs.begin(), xs.end());
+  w.assign(xs.size(), 0.0);
+  if (!std::isfinite(m)) {
+    w[0] = 1.0;
+    return m;
+  }
+  double sum = 0.0;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    w[i] = std::exp((xs[i] - m) / gamma);
+    sum += w[i];
+  }
+  for (double& wi : w) wi /= sum;
+  return m + gamma * std::log(sum);
+}
+
+double plain_smooth_min(const std::vector<double>& xs, double gamma,
+                        std::vector<double>& w) {
+  const double m = *std::min_element(xs.begin(), xs.end());
+  w.assign(xs.size(), 0.0);
+  if (!std::isfinite(m)) {
+    w[0] = 1.0;
+    return m;
+  }
+  double sum = 0.0;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    w[i] = std::exp((m - xs[i]) / gamma);
+    sum += w[i];
+  }
+  for (double& wi : w) wi /= sum;
+  return m - gamma * std::log(sum);
+}
+
+// smooth_max and smooth_min against the plain loops, bit for bit.
+void expect_same_as_plain(const std::vector<double>& xs, double gamma) {
+  std::vector<double> w, w_ref;
+  EXPECT_TRUE(same_bits(smooth_max(xs, gamma, w), plain_smooth_max(xs, gamma, w_ref)));
+  for (size_t i = 0; i < xs.size(); ++i)
+    EXPECT_TRUE(same_bits(w[i], w_ref[i])) << "max weight " << i;
+  EXPECT_TRUE(same_bits(smooth_min(xs, gamma, w), plain_smooth_min(xs, gamma, w_ref)));
+  for (size_t i = 0; i < xs.size(); ++i)
+    EXPECT_TRUE(same_bits(w[i], w_ref[i])) << "min weight " << i;
+}
 
 TEST(SmoothMath, LogSumExpUpperBoundsMax) {
   const std::vector<double> xs{1.0, 2.0, 3.0};
@@ -108,6 +163,29 @@ TEST_P(SmoothMaxGradient, MatchesFiniteDifference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, SmoothMaxGradient, ::testing::Range(0, 20));
+
+// Skipping exp on the extreme operand (its weight is exp(+0) = 1) changes no
+// bit of the value or the weights.
+TEST(SmoothMath, ExtremeWeightSkipIsBitwiseExact) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(77);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t n = static_cast<size_t>(rng.uniform_int(1, 8));
+    std::vector<double> xs(n);
+    for (double& x : xs) x = rng.uniform(-3.0, 3.0);
+    // Ties at the maximum and at the minimum.
+    if (n > 1 && trial % 3 == 0) xs[n - 1] = *std::max_element(xs.begin(), xs.end());
+    if (n > 1 && trial % 5 == 0) xs[0] = *std::min_element(xs.begin(), xs.end());
+    if (trial % 7 == 0) xs[0] = -kInf;  // an unreachable operand
+    expect_same_as_plain(xs, rng.uniform(0.01, 1.0));
+  }
+  expect_same_as_plain({1.25}, 0.05);                      // single operand
+  expect_same_as_plain({-kInf, -kInf, -kInf}, 0.05);       // all -inf
+  expect_same_as_plain({kInf, kInf}, 0.05);                // all +inf
+  expect_same_as_plain({2.0, 2.0, 2.0}, 0.05);             // all tied
+  expect_same_as_plain({-0.0, 0.0, -0.0}, 0.05);           // signed zeros
+  expect_same_as_plain({1e8, 1e8 + 1.0, -1e8}, 0.01);      // far apart
+}
 
 TEST(SmoothMath, SmoothAbsGradient) {
   const double eps = 1e-4;

@@ -2,6 +2,11 @@
 // properties, early/late consistency, slack bookkeeping.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <sstream>
+
+#include "liberty/liberty_io.h"
 #include "liberty/synth_library.h"
 #include "sta/cell_arc_eval.h"
 #include "sta/timer.h"
@@ -236,6 +241,99 @@ TEST(Sta, DragMatchesRebuildWhenTopologyUnchanged) {
   Timer fresh(cd.design, graph);
   const double wns_rebuild = fresh.evaluate(x, cd.design.cell_y).wns;
   EXPECT_NEAR(wns_drag, wns_rebuild, 1e-12);
+}
+
+// The table with `lut`'s values over its axes scaled by (sx, sy).
+liberty::Lut rescaled(const liberty::Lut& lut, double sx, double sy) {
+  std::vector<double> xs(lut.x_axis().begin(), lut.x_axis().end());
+  std::vector<double> ys(lut.y_axis().begin(), lut.y_axis().end());
+  for (double& x : xs) x *= sx;
+  for (double& y : ys) y *= sy;
+  return liberty::Lut(xs, ys, {lut.values().begin(), lut.values().end()});
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// A Liberty-parsed library in which two cells' tables do not share their
+// axes: NAND2_X1's transition tables have another slew axis than its delay
+// tables, and INV_X1's fall tables another load axis than its rise tables.
+// Their output pins take the per-table search fallback, every other pin the
+// shared searches, and every cached LUT query equals two lookup_grad calls
+// on the arc's own tables, bit for bit.
+TEST(Sta, LutAxisFallbackMatchesPerTableQueries) {
+  liberty::CellLibrary synth = liberty::make_synthetic_library();
+  for (liberty::TimingArc& arc : synth.cell(synth.find_cell("NAND2_X1")).arcs) {
+    arc.rise_transition = rescaled(arc.rise_transition, 1.25, 1.0);
+    arc.fall_transition = rescaled(arc.fall_transition, 1.25, 1.0);
+  }
+  for (liberty::TimingArc& arc : synth.cell(synth.find_cell("INV_X1")).arcs) {
+    arc.cell_fall = rescaled(arc.cell_fall, 1.0, 1.1);
+    arc.fall_transition = rescaled(arc.fall_transition, 1.0, 1.1);
+  }
+  std::stringstream ss;
+  liberty::write_liberty(synth, ss);
+  const liberty::CellLibrary lib = liberty::parse_liberty(ss);
+  const int nand = lib.find_cell("NAND2_X1");
+  const int inv = lib.find_cell("INV_X1");
+
+  workload::WorkloadOptions opts;
+  opts.num_cells = 400;
+  opts.seed = 515;
+  const Design d = workload::generate_design(lib, opts);
+  const TimingGraph graph(d.netlist);
+  TimerOptions topts;
+  topts.mode = AggMode::Smooth;
+  Timer timer(d, graph, topts);
+  timer.evaluate(d.cell_x, d.cell_y);
+  const TimingWorkspace& ws = timer.workspace();
+
+  int shared_pins = 0, fallback_pins = 0;
+  for (size_t p = 0; p < d.netlist.num_pins(); ++p) {
+    const PinId v = static_cast<PinId>(p);
+    if (ws.cand_base[p] < 0) continue;  // no cell-arc fan-in
+    const int master = d.netlist.cell(d.netlist.pin(v).cell).lib_cell;
+    const bool expect_shared = master != nand && master != inv;
+    EXPECT_EQ(ws.cand_shared_axes[p] != 0, expect_shared)
+        << lib.cell(master).name;
+    (expect_shared ? shared_pins : fallback_pins) += 1;
+
+    const NetId out_net = graph.driven_timing_net(v);
+    const double load =
+        out_net == netlist::kInvalidId ? 0.0 : ws.net_root_load(out_net);
+    for (int tr_out = 0; tr_out < 2; ++tr_out) {
+      const ArcCandidate* cands =
+          ws.cand.data() + ws.cand_offset(v, tr_out);
+      int k = 0;
+      for (const int ai : graph.fanin(v)) {
+        const Arc& arc = graph.arcs()[static_cast<size_t>(ai)];
+        const liberty::TimingArc& la = graph.lib_arc(arc.lib_arc);
+        const liberty::Lut& delay = tr_out == kRise ? la.cell_rise : la.cell_fall;
+        const liberty::Lut& slew =
+            tr_out == kRise ? la.rise_transition : la.fall_transition;
+        int trs[2];
+        const int n = input_transitions(la.unate, tr_out, trs);
+        for (int t = 0; t < n; ++t) {
+          if (!std::isfinite(timer.at(arc.from, trs[t]))) continue;
+          ASSERT_LT(k, ws.cand_count[p * 2 + static_cast<size_t>(tr_out)]);
+          const ArcCandidate& c = cands[k++];
+          const double s_in = timer.slew(arc.from, trs[t]);
+          const auto dq = delay.lookup_grad(s_in, load);
+          const auto sq = slew.lookup_grad(s_in, load);
+          EXPECT_TRUE(same_bits(c.delay_q.value, dq.value));
+          EXPECT_TRUE(same_bits(c.delay_q.d_dx, dq.d_dx));
+          EXPECT_TRUE(same_bits(c.delay_q.d_dy, dq.d_dy));
+          EXPECT_TRUE(same_bits(c.slew_q.value, sq.value));
+          EXPECT_TRUE(same_bits(c.slew_q.d_dx, sq.d_dx));
+          EXPECT_TRUE(same_bits(c.slew_q.d_dy, sq.d_dy));
+        }
+      }
+      EXPECT_EQ(k, ws.cand_count[p * 2 + static_cast<size_t>(tr_out)]);
+    }
+  }
+  EXPECT_GT(shared_pins, 0);
+  EXPECT_GT(fallback_pins, 0);
 }
 
 }  // namespace

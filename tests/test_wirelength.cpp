@@ -1,7 +1,13 @@
 // WA wirelength model: HPWL convergence, gradient correctness, net weights.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "common/rng.h"
+#include "kernels/kernels.h"
 #include "liberty/synth_library.h"
 #include "placer/wirelength.h"
 #include "workload/circuit_gen.h"
@@ -86,6 +92,70 @@ TEST_P(WirelengthGradient, MatchesFiniteDifference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, WirelengthGradient, ::testing::Range(0, 6));
+
+// wa_axis as it was before the extreme pins' exp(+-0) was skipped: the
+// oracle for the exactness test below.
+double plain_wa_axis(const std::vector<double>& coords, double gamma,
+                     std::vector<double>& grads) {
+  const size_t n = coords.size();
+  double cmax = coords[0], cmin = coords[0];
+  for (size_t i = 0; i < n; ++i) {
+    cmax = std::max(cmax, coords[i]);
+    cmin = std::min(cmin, coords[i]);
+  }
+  std::vector<double> ep(n), em(n);
+  double sp = 0.0, tp = 0.0, sm = 0.0, tm = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    ep[i] = std::exp((coords[i] - cmax) / gamma);
+    em[i] = std::exp(-(coords[i] - cmin) / gamma);
+    sp += ep[i];
+    tp += coords[i] * ep[i];
+    sm += em[i];
+    tm += coords[i] * em[i];
+  }
+  const double wa_p = tp / sp;
+  const double wa_m = tm / sm;
+  grads.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double gp = ep[i] / sp * (1.0 + (coords[i] - wa_p) / gamma);
+    const double gm = em[i] / sm * (1.0 - (coords[i] - wa_m) / gamma);
+    grads[i] = gp - gm;
+  }
+  return wa_p - wa_m;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+void expect_wa_same_as_plain(const std::vector<double>& coords, double gamma) {
+  const size_t n = coords.size();
+  std::vector<double> grads(n), ep(n), em(n), ref;
+  const double v = kernels::wa_axis(coords.data(), n, gamma, grads.data(),
+                                    ep.data(), em.data());
+  EXPECT_TRUE(same_bits(v, plain_wa_axis(coords, gamma, ref)));
+  for (size_t i = 0; i < n; ++i)
+    EXPECT_TRUE(same_bits(grads[i], ref[i])) << "pin " << i << " of " << n;
+}
+
+// Storing the extreme pins' weights as 1.0 instead of exp(+-0) changes no
+// bit of the WA value or gradient.
+TEST(Wirelength, WaAxisExtremeWeightSkipIsBitwiseExact) {
+  Rng rng(91);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t n = static_cast<size_t>(rng.uniform_int(1, 12));
+    std::vector<double> c(n);
+    for (double& x : c) x = rng.uniform(0.0, 400.0);
+    // Ties at the maximum and the minimum (pins of one cell, stacked cells).
+    if (n > 1 && trial % 3 == 0) c[0] = *std::max_element(c.begin(), c.end());
+    if (n > 1 && trial % 4 == 0) c[n - 1] = *std::min_element(c.begin(), c.end());
+    expect_wa_same_as_plain(c, rng.uniform(0.5, 20.0));
+  }
+  expect_wa_same_as_plain({12.5}, 1.0);               // one pin
+  expect_wa_same_as_plain({3.0, 3.0, 3.0}, 1.0);      // all coincident
+  expect_wa_same_as_plain({-0.0, 0.0, 5.0}, 2.0);     // signed zeros
+  expect_wa_same_as_plain({0.0, 1e6}, 0.25);          // far apart
+}
 
 TEST(Wirelength, NetWeightsScaleValueAndGradient) {
   const liberty::CellLibrary lib = liberty::make_synthetic_library();
