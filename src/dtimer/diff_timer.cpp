@@ -219,7 +219,12 @@ void DiffTimer::backward(double t1, double t2, double h1, double h2,
       } else if (rec.kind == Fanin::Cell) {
         // Eq. 12: cell arcs.  Candidates, LUT gradients and the AT/slew
         // softmax weights are the ones the forward sweep cached for this pin.
+        // The driven net's load adjoint sums in a register, in candidate
+        // order; only this pin writes it.
         const NetId out_net = rec.driven;
+        double g_load_out = out_net == netlist::kInvalidId
+                                ? 0.0
+                                : ws.g_load[static_cast<size_t>(out_net)];
         for (int tr_out = 0; tr_out < 2; ++tr_out) {
           const size_t vi =
               static_cast<size_t>(v) * 2 + static_cast<size_t>(tr_out);
@@ -242,12 +247,12 @@ void DiffTimer::backward(double t1, double t2, double h1, double h2,
             ws.g_at[ui] += g_at_cand;
             ws.g_slew[ui] += c.delay_q.d_dx * g_delay_cand +
                              c.slew_q.d_dx * g_slew_cand;     // Eq. 12d
-            if (out_net != netlist::kInvalidId)
-              ws.g_load[static_cast<size_t>(out_net)] +=
-                  c.delay_q.d_dy * g_delay_cand +
-                  c.slew_q.d_dy * g_slew_cand;              // Eq. 12e
+            g_load_out += c.delay_q.d_dy * g_delay_cand +
+                          c.slew_q.d_dy * g_slew_cand;        // Eq. 12e
           }
         }
+        if (out_net != netlist::kInvalidId)
+          ws.g_load[static_cast<size_t>(out_net)] = g_load_out;
       }
 
       // Hold corner: mirror the sweep on the early arrays (min-aggregation

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <queue>
 
@@ -31,6 +33,17 @@ double lookup_override(const std::unordered_map<std::string, double>& overrides,
                        const std::string& key, double fallback) {
   const auto it = overrides.find(key);
   return it == overrides.end() ? fallback : it->second;
+}
+
+// Stores `value` at array[idx] and returns true unless the slot already held
+// the same bits.  Comparing bits, not values, makes the stored state exactly
+// the computed one (a -0 replaces a +0), so a pin whose inputs keep their
+// bits keeps its own, and an incremental cone may stop there.
+bool store_bits(double* array, size_t idx, double value) {
+  if (std::bit_cast<uint64_t>(array[idx]) == std::bit_cast<uint64_t>(value))
+    return false;
+  array[idx] = value;
+  return true;
 }
 }  // namespace
 
@@ -229,18 +242,21 @@ void Timer::run_elmore() {
 }
 
 void Timer::init_sources(bool early) {
-  const size_t n = ws_->at.size();
-  if (!early) {
-    for (size_t i = 0; i < n; ++i) {
-      ws_->at[i] = ws_->src_at[i];
-      ws_->slew[i] = ws_->src_slew[i];
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      // Early arrival of a source equals its (single) arrival time; pins that
-      // are not sources start at +inf so min-aggregation works.
-      ws_->at_early[i] = std::isfinite(ws_->src_at[i]) ? ws_->src_at[i] : kPosInf;
-      ws_->slew_early[i] = ws_->src_slew[i];
+  // Only the level-0 pins: the sweep writes every AT and slew of every later
+  // level before it reads them.
+  for (const PinId p : graph_->sources()) {
+    for (int tr = 0; tr < 2; ++tr) {
+      const size_t i = static_cast<size_t>(p) * 2 + static_cast<size_t>(tr);
+      if (!early) {
+        ws_->at[i] = ws_->src_at[i];
+        ws_->slew[i] = ws_->src_slew[i];
+      } else {
+        // Early arrival of a source equals its (single) arrival time; a
+        // level-0 pin with no arrival starts at +inf so min-aggregation works.
+        ws_->at_early[i] =
+            std::isfinite(ws_->src_at[i]) ? ws_->src_at[i] : kPosInf;
+        ws_->slew_early[i] = ws_->src_slew[i];
+      }
     }
   }
 }
@@ -285,8 +301,6 @@ void Timer::sweep_levels(bool early) {
          i < end; ++i) {
       const TimingWorkspace::SlotRecord& rec = records[i];
       if (rec.kind == Fanin::Net) {
-        // Every non-source pin was reset by init_sources, so a plain store
-        // leaves what update_pin's compare-and-store would.
         const size_t node = static_cast<size_t>(rec.node);
         const double d = ws.used_delay[node];
         const double imp2 = ws.imp2[node];
@@ -325,10 +339,7 @@ bool Timer::update_pin(PinId v, bool early) {
   const double imp2 = ws.imp2[node];
   bool changed = false;
   auto store = [&](size_t idx, double value, double* array) {
-    if (array[idx] != value) {
-      array[idx] = value;
-      changed = true;
-    }
+    changed |= store_bits(array, idx, value);
   };
   for (int tr = 0; tr < 2; ++tr) {
     const size_t vi = static_cast<size_t>(v) * 2 + static_cast<size_t>(tr);
@@ -348,10 +359,7 @@ bool Timer::update_cell_pin(PinId v, NetId out_net, bool early) {
   const auto fanin = graph_->fanin(v);
   bool changed = false;
   auto store = [&](size_t idx, double value, double* array) {
-    if (array[idx] != value) {
-      array[idx] = value;
-      changed = true;
-    }
+    changed |= store_bits(array, idx, value);
   };
 
   // Cell arcs: aggregate candidates per output transition (Eq. 11).  The late
@@ -402,7 +410,9 @@ bool Timer::update_cell_pin(PinId v, NetId out_net, bool early) {
     }
     const size_t vi = static_cast<size_t>(v) * 2 + static_cast<size_t>(tr_out);
     if (count == 0) {
+      // Unreachable: no arrival, and the slew a source without one has.
       store(vi, early ? kPosInf : kNegInf, at);
+      store(vi, ws.src_slew[vi], slew);
       continue;
     }
     // Arrival time aggregation.

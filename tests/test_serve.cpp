@@ -15,6 +15,8 @@
 #include <sstream>
 #include <thread>
 
+#include <unistd.h>
+
 #include "common/json_parse.h"
 #include "common/json_writer.h"
 #include "obs/metrics.h"
@@ -28,11 +30,34 @@ using namespace dtp::serve;
 
 namespace {
 
+// An empty artifact directory under the temp dir, unique to this process so
+// that concurrent runs of the suite never remove each other's files.  The
+// directories are removed when the test binary exits, after every manager
+// writing into them is gone.
 std::string fresh_dir(const std::string& name) {
-  const auto dir = std::filesystem::temp_directory_path() / name;
+  struct Made {
+    std::vector<std::filesystem::path> dirs;
+    ~Made() {
+      std::error_code ec;
+      for (const auto& d : dirs) std::filesystem::remove_all(d, ec);
+    }
+  };
+  static Made made;
+  const auto dir = std::filesystem::temp_directory_path() /
+                   (name + "-" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
+  made.dirs.push_back(dir);
   return dir.string();
+}
+
+// The manager's last record of a job, as JSON, for failure messages.
+std::string last_record(const JobManager& mgr, uint64_t id) {
+  const std::optional<JobRecord> rec = mgr.status(id);
+  if (!rec) return "(no record of job " + std::to_string(id) + ")";
+  JsonWriter w;
+  rec->to_json(w);
+  return w.str();
 }
 
 JobSpec demo_spec(int cells, int iters, const std::string& mode = "wl",
@@ -428,7 +453,7 @@ TEST(Soak, SixteenJobsWithFaultsAllReachTerminalStates) {
     const std::string trace_path = art + "/trace.json";
     ASSERT_TRUE(mgr.write_trace(trace_path));
     std::ifstream in(trace_path);
-    ASSERT_TRUE(in.good());
+    ASSERT_TRUE(in.good()) << "cannot read " << trace_path;
     std::stringstream ss;
     ss << in.rdbuf();
     const JsonValue doc = JsonParser::parse(ss.str());
@@ -442,8 +467,10 @@ TEST(Soak, SixteenJobsWithFaultsAllReachTerminalStates) {
 
   // Per-job artifact streams exist and end with a run_end record.
   for (uint64_t id : {ids[0], ids[10]}) {
-    std::ifstream in(art + "/job-" + std::to_string(id) + ".jsonl");
-    ASSERT_TRUE(in.good());
+    const std::string path = art + "/job-" + std::to_string(id) + ".jsonl";
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "cannot read " << path
+                           << "; last record: " << last_record(mgr, id);
     std::string line, last_type;
     while (std::getline(in, line)) {
       const JsonValue v = JsonParser::parse(line);
@@ -554,7 +581,7 @@ TEST(Soak, DrainCheckpointsJournalsAndRestartRecovers) {
   // The journal holds the accepted jobs and at least one mid-run checkpoint.
   {
     std::ifstream in(art + "/journal.jsonl");
-    ASSERT_TRUE(in.good());
+    ASSERT_TRUE(in.good()) << "cannot read " << art << "/journal.jsonl";
     std::string line;
     int accepts = 0, ckpts = 0;
     while (std::getline(in, line)) {
@@ -770,7 +797,7 @@ TEST(Telemetry, ManagerEventsAndJournalShareTheTimeline) {
   // Every journal record is stamped with ts_ms and a strictly increasing
   // process-wide seq, so offline tools can merge streams on one timeline.
   std::ifstream in(art + "/journal.jsonl");
-  ASSERT_TRUE(in.good());
+  ASSERT_TRUE(in.good()) << "cannot read " << art << "/journal.jsonl";
   std::string line;
   double prev_seq = 0.0;
   size_t records = 0;
