@@ -16,8 +16,10 @@
 // smooth_max / smooth_min skip the one exp whose answer is known: the extreme
 // operand's weight is exp((m - m) / gamma) = exp(+0), which IEEE 754 (C Annex
 // F) defines as exactly 1, so it is stored as 1.0.  Other operands equal to
-// the extreme (ties) still go through exp and get the same 1.0.  Values and
-// weights are bitwise what the plain loop gives.
+// the extreme (ties) still go through exp and get the same 1.0.  A single
+// operand's weight sum is that 1.0, whose log is +0 (Annex F again), so
+// neither log nor the normalization runs.  Values and weights are bitwise
+// what the plain loop gives.
 #pragma once
 
 #include <algorithm>
@@ -56,6 +58,10 @@ inline double smooth_max(const double* xs, size_t n, double gamma,
     weights[0] = 1.0;
     return m;
   }
+  if (n == 1) {
+    weights[0] = 1.0;
+    return m + gamma * 0.0;  // log(1) = +0
+  }
   const size_t top_i = static_cast<size_t>(top - xs);
   double sum = 0.0;
   for (size_t i = 0; i < n; ++i) {
@@ -88,6 +94,10 @@ inline double smooth_min(std::span<const double> xs, double gamma,
     std::fill(weights.begin(), weights.end(), 0.0);
     weights[0] = 1.0;
     return m;
+  }
+  if (xs.size() == 1) {
+    weights[0] = 1.0;
+    return m - gamma * 0.0;  // log(1) = +0
   }
   const size_t bottom_i = static_cast<size_t>(bottom - xs.begin());
   double sum = 0.0;

@@ -78,7 +78,9 @@ void density_gather(const DensityGrid& grid, const DensityCells& cells,
 // overwritten.  ep/em are caller-provided scratch of size n.  Exp sums are
 // shifted by cmax/cmin for stability.  The extreme pins' own weights are
 // exp(+0) and exp(-0), exactly 1 under IEEE 754, so they are stored as 1.0
-// without calling exp (ties with the extreme still call it and get 1.0).
+// without calling exp (ties with the extreme still call it and get 1.0), and
+// the max pin's min-side weight is the min pin's max-side weight, so a net
+// of n >= 2 pins pays 2n - 3 exps per axis instead of 2n.
 inline double wa_axis(const double* DTP_RESTRICT coords, size_t n, double gamma,
                       double* DTP_RESTRICT grads, double* DTP_RESTRICT ep,
                       double* DTP_RESTRICT em) {
@@ -94,10 +96,19 @@ inline double wa_axis(const double* DTP_RESTRICT coords, size_t n, double gamma,
       imin = i;
     }
   }
+  // ep[imin] = exp((cmin - cmax) / gamma) and em[imax] =
+  // exp(-(cmax - cmin) / gamma) are the same number (IEEE subtraction and
+  // division are sign-symmetric, and cmax > cmin when imax != imin): one exp
+  // serves both.
+  const double e_span = imax == imin ? 1.0 : std::exp((cmin - cmax) / gamma);
   double sp = 0.0, tp = 0.0, sm = 0.0, tm = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    ep[i] = i == imax ? 1.0 : std::exp((coords[i] - cmax) / gamma);
-    em[i] = i == imin ? 1.0 : std::exp(-(coords[i] - cmin) / gamma);
+    ep[i] = i == imax   ? 1.0
+            : i == imin ? e_span
+                        : std::exp((coords[i] - cmax) / gamma);
+    em[i] = i == imin   ? 1.0
+            : i == imax ? e_span
+                        : std::exp(-(coords[i] - cmin) / gamma);
     sp += ep[i];
     tp += coords[i] * ep[i];
     sm += em[i];
