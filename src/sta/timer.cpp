@@ -204,20 +204,19 @@ void Timer::build_trees() {
 void Timer::drag_trees() {
   DTP_TRACE_SCOPE("rsmt_drag_trees");
   DTP_ASSERT_MSG(trees_built_, "drag_trees requires build_trees first");
-  const netlist::Netlist& nl = design_->netlist;
   const auto& nets = graph_->timing_nets();
   ThreadPool& pool = ThreadPool::global();
   pool.parallel_for(
       0, nets.size(), pool.chunks_for(kDragNsPerPin * timing_net_pins_),
       [&](size_t, size_t i) {
         const NetId n = nets[i];
-        const netlist::Net& net = nl.net(n);
         // In-place drag (paper §3.6): pin nodes take the fresh pin positions,
         // Steiner nodes copy their source pins' coordinates (Fig. 4).
         rsmt::SteinerTreeView t = ws_->forest.tree(n);
+        const PinId* pins = ws_->net_pins(n).data();
         for (int k = 0; k < t.num_pins; ++k)
           t.nodes[static_cast<size_t>(k)].pos =
-              ws_->pin_pos[static_cast<size_t>(net.pins[static_cast<size_t>(k)])];
+              ws_->pin_pos[static_cast<size_t>(pins[k])];
         for (size_t k = static_cast<size_t>(t.num_pins); k < t.nodes.size();
              ++k) {
           rsmt::SteinerNode& node = t.nodes[k];
