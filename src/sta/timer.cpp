@@ -285,13 +285,10 @@ void Timer::sweep_levels(bool early) {
   // Level by level in flat (level-major, pin-ascending) schedule order,
   // serial on the calling thread, streaming the workspace's slot records;
   // each level books its own wall-clock.  Net pins take their wire source
-  // and arena node from the record; cell pins run update_cell_pin.
+  // and arena node from the record.
   DTP_PROF_SCOPE("sta_levels");
-  TimingWorkspace& ws = *ws_;
-  double* at = early ? ws.at_early.data() : ws.at.data();
-  double* slew = early ? ws.slew_early.data() : ws.slew.data();
   const auto offsets = graph_->level_offsets();
-  const TimingWorkspace::SlotRecord* records = ws.records.data();
+  const TimingWorkspace::SlotRecord* records = ws_->records.data();
   using Fanin = TimingWorkspace::Fanin;
   for (int l = 1; l < graph_->num_levels(); ++l) {
     const auto start = std::chrono::steady_clock::now();
@@ -299,21 +296,10 @@ void Timer::sweep_levels(bool early) {
     for (size_t i = static_cast<size_t>(offsets[static_cast<size_t>(l)]);
          i < end; ++i) {
       const TimingWorkspace::SlotRecord& rec = records[i];
-      if (rec.kind == Fanin::Net) {
-        const size_t node = static_cast<size_t>(rec.node);
-        const double d = ws.used_delay[node];
-        const double imp2 = ws.imp2[node];
-        for (int tr = 0; tr < 2; ++tr) {
-          const size_t vi =
-              static_cast<size_t>(rec.pin) * 2 + static_cast<size_t>(tr);
-          const size_t ui =
-              static_cast<size_t>(rec.from) * 2 + static_cast<size_t>(tr);
-          at[vi] = at[ui] + d;                                // Eq. 9a
-          slew[vi] = std::sqrt(slew[ui] * slew[ui] + imp2);   // Eq. 9b
-        }
-      } else if (rec.kind == Fanin::Cell) {
+      if (rec.kind == Fanin::Net)
+        update_net_pin(rec.pin, rec.from, static_cast<size_t>(rec.node), early);
+      else if (rec.kind == Fanin::Cell)
         update_cell_pin(rec.pin, rec.driven, early);
-      }
     }
     level_profile_[static_cast<size_t>(l)].add_since(start);
   }
@@ -325,26 +311,28 @@ bool Timer::update_pin(PinId v, bool early) {
   const Arc& first = graph_->arcs()[static_cast<size_t>(fanin[0])];
   if (first.kind == ArcKind::CellArc)
     return update_cell_pin(v, graph_->driven_timing_net(v), early);
-
-  // Exactly one fan-in net arc per pin (Eq. 9): no aggregation needed.
+  // Exactly one fan-in net arc per pin; tree pin index == net-pin index of
+  // the sink.
   DTP_ASSERT(fanin.size() == 1);
+  return update_net_pin(
+      v, first.from,
+      static_cast<size_t>(ws_->forest.node_offset(first.net)) +
+          static_cast<size_t>(first.sink_index),
+      early);
+}
+
+bool Timer::update_net_pin(PinId v, PinId from, size_t node, bool early) {
   TimingWorkspace& ws = *ws_;
   double* at = early ? ws.at_early.data() : ws.at.data();
   double* slew = early ? ws.slew_early.data() : ws.slew.data();
-  // Tree pin index == net-pin index of the sink.
-  const size_t node = static_cast<size_t>(ws.forest.node_offset(first.net)) +
-                      static_cast<size_t>(first.sink_index);
   const double d = ws.used_delay[node];
   const double imp2 = ws.imp2[node];
   bool changed = false;
-  auto store = [&](size_t idx, double value, double* array) {
-    changed |= store_bits(array, idx, value);
-  };
   for (int tr = 0; tr < 2; ++tr) {
     const size_t vi = static_cast<size_t>(v) * 2 + static_cast<size_t>(tr);
-    const size_t ui = static_cast<size_t>(first.from) * 2 + static_cast<size_t>(tr);
-    store(vi, at[ui] + d, at);                                    // Eq. 9a
-    store(vi, std::sqrt(slew[ui] * slew[ui] + imp2), slew);       // Eq. 9b
+    const size_t ui = static_cast<size_t>(from) * 2 + static_cast<size_t>(tr);
+    changed |= store_bits(at, vi, at[ui] + d);                              // Eq. 9a
+    changed |= store_bits(slew, vi, std::sqrt(slew[ui] * slew[ui] + imp2)); // Eq. 9b
   }
   return changed;
 }

@@ -20,7 +20,7 @@
 // All mutable state lives in a TimingWorkspace (DESIGN.md §10): flat
 // [pin*2 + transition] sweep arrays, the Steiner forest + per-node net arenas,
 // the cell-arc candidate cache the forward sweep fills and the backward/RAT
-// sweeps reuse, and scratch.  The per-net kernels (tree rebuild, drag,
+// sweeps reuse, the per-slot records both level sweeps stream, and scratch.  The per-net kernels (tree rebuild, drag,
 // Elmore) are ThreadPool jobs over the timing nets — the CPU analogue of the
 // paper's per-net CUDA kernels; a level sweep is one serial loop over the
 // CSR level schedule, since a pooled sweep cost more CPU than the wall time
@@ -111,8 +111,8 @@ class Timer {
   // Incremental re-evaluation after a small set of cells moved (hard mode):
   // rebuilds only the trees of nets touching the moved cells, re-runs their
   // Elmore passes, and re-propagates arrival times only through the affected
-  // fan-out cone (level-ordered worklist; a pin whose AT and slew are
-  // unchanged cuts the cone).  Orders of magnitude cheaper than evaluate()
+  // fan-out cone (level-ordered worklist; a pin whose AT and slew keep their
+  // bits cuts the cone).  Orders of magnitude cheaper than evaluate()
   // for local perturbations — the regime of detailed placement and ECO moves,
   // and the subject of the ICCAD'15 contest the benchmark suite comes from.
   // Requires a prior evaluate(); RATs are not updated (call update_required()
@@ -246,8 +246,10 @@ class Timer {
   void publish_rsmt_counts();
   // Recomputes at/slew of one pin from its fan-in; returns true if changed.
   bool update_pin(PinId v, bool early);
-  // update_pin for a pin with cell-arc fan-in that drives `out_net`
-  // (kInvalidId: none).
+  // update_pin for a wire sink fed by `from` through arena node `node`
+  // (Eq. 9), and for a pin with cell-arc fan-in that drives `out_net`
+  // (kInvalidId: none; Eq. 11).
+  bool update_net_pin(PinId v, PinId from, size_t node, bool early);
   bool update_cell_pin(PinId v, NetId out_net, bool early);
 
   const netlist::Design* design_;

@@ -107,7 +107,8 @@ class TimingGraph {
   size_t num_lib_arcs() const { return lib_arc_ptrs_.size(); }
   // Re-resolves the liberty-arc pointer table against `lib` (e.g. after the
   // library was reloaded or moved).  `lib` must contain the same cells/arcs
-  // (by index) the graph was built against.
+  // (by index) the graph was built against, with the same table axes: a
+  // timer checks which pins' tables share their axes when it is built.
   void rebind_library(const liberty::CellLibrary& lib);
 
   // ---- sources / endpoints ----

@@ -121,8 +121,8 @@ void expect_same_query(const Lut::Query& a, const Lut::Query& b) {
   EXPECT_TRUE(same_bits(a.d_dy, b.d_dy)) << a.d_dy << " vs " << b.d_dy;
 }
 
-// The one-piece query lookup_grad was written as before the search and the
-// interpolation were split: the oracle for the exactness test below.
+// The textbook one-piece query, search and interpolation in one routine: the
+// oracle for the exactness test below.
 Lut::Query monolithic_lookup_grad(const Lut& lut, double x, double y) {
   auto lower = [](std::span<const double> axis, double q) -> size_t {
     if (axis.size() <= 1) return 0;

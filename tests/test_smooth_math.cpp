@@ -17,8 +17,8 @@ bool same_bits(double a, double b) {
   return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
 }
 
-// The plain LSE loops smooth_max / smooth_min started from: exp on every
-// operand, the extreme one included.  The oracle for the exactness tests.
+// The plain LSE loops, exp on every operand, the extreme one included: the
+// oracle for the exactness tests.
 double plain_smooth_max(const std::vector<double>& xs, double gamma,
                         std::vector<double>& w) {
   const double m = *std::max_element(xs.begin(), xs.end());

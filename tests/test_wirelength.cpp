@@ -93,8 +93,8 @@ TEST_P(WirelengthGradient, MatchesFiniteDifference) {
 
 INSTANTIATE_TEST_SUITE_P(Random, WirelengthGradient, ::testing::Range(0, 6));
 
-// wa_axis as it was before the extreme pins' exp(+-0) was skipped: the
-// oracle for the exactness test below.
+// The plain WA formula, exp on every pin and both sides: the oracle for the
+// exactness test below.
 double plain_wa_axis(const std::vector<double>& coords, double gamma,
                      std::vector<double>& grads) {
   const size_t n = coords.size();
