@@ -162,11 +162,22 @@ void Timer::update_positions(std::span<const double> cell_x,
                              std::span<const double> cell_y) {
   const netlist::Netlist& nl = design_->netlist;
   DTP_ASSERT(cell_x.size() == nl.num_cells() && cell_y.size() == nl.num_cells());
-  for (size_t p = 0; p < nl.num_pins(); ++p) {
-    const netlist::Pin& pin = nl.pin(static_cast<PinId>(p));
-    const Vec2 off = nl.pin_offset(static_cast<PinId>(p));
-    ws_->pin_pos[p] = {cell_x[static_cast<size_t>(pin.cell)] + off.x,
-                       cell_y[static_cast<size_t>(pin.cell)] + off.y};
+  for (size_t c = 0; c < nl.num_cells(); ++c)
+    place_cell_pins(static_cast<CellId>(c), cell_x, cell_y);
+}
+
+void Timer::place_cell_pins(CellId c, std::span<const double> cell_x,
+                            std::span<const double> cell_y) {
+  // A cell's pins are consecutive and in its master's pin order.
+  const netlist::Netlist& nl = design_->netlist;
+  const netlist::Cell& cell = nl.cell(c);
+  const auto& lib_pins = nl.lib_cell_of(c).pins;
+  const double x = cell_x[static_cast<size_t>(c)];
+  const double y = cell_y[static_cast<size_t>(c)];
+  Vec2* pos = ws_->pin_pos.data() + static_cast<size_t>(cell.first_pin);
+  for (int k = 0; k < cell.num_pins; ++k) {
+    const liberty::LibPin& lp = lib_pins[static_cast<size_t>(k)];
+    pos[k] = {x + lp.offset_x, y + lp.offset_y};
   }
 }
 
@@ -438,16 +449,7 @@ TimingMetrics Timer::evaluate_incremental(std::span<const double> cell_x,
   const netlist::Constraints& con = design_->constraints;
 
   // 1. Refresh pin positions of the moved cells.
-  for (const CellId c : moved_cells) {
-    const netlist::Cell& cell = nl.cell(c);
-    for (int k = 0; k < cell.num_pins; ++k) {
-      const PinId p = cell.first_pin + k;
-      const Vec2 off = nl.pin_offset(p);
-      ws_->pin_pos[static_cast<size_t>(p)] = {
-          cell_x[static_cast<size_t>(c)] + off.x,
-          cell_y[static_cast<size_t>(c)] + off.y};
-    }
-  }
+  for (const CellId c : moved_cells) place_cell_pins(c, cell_x, cell_y);
 
   // 2. Rebuild + re-time every affected timing net.
   thread_local std::vector<NetId> nets;

@@ -237,6 +237,9 @@ class Timer {
 
  private:
   void sweep_levels(bool early);
+  // Pin positions of cell c from its origin and its master's pin offsets.
+  void place_cell_pins(CellId c, std::span<const double> cell_x,
+                       std::span<const double> cell_y);
   void init_sources(bool early);
   // Rebuilds net n's Steiner tree at the current pin positions into its
   // forest slot, using the RSMT scratch of dispatch slot `slot`.
