@@ -420,22 +420,22 @@ bool Timer::update_cell_pin(PinId v, NetId out_net, bool early) {
     double agg;
     if (early)
       agg = smooth ? smooth_min(values, gamma, weights)
-                   : hard_min(values, weights);
+                   : hard_min(values);
     else
       agg = smooth ? smooth_max(values.data(), n, gamma,
                                 ws.cand_w_at.data() + cache_off)
-                   : hard_max(values, weights);
+                   : hard_max(values);
     store(vi, agg, at);
     // Slew aggregation (Eq. 11d): late takes the worst (max) slew, early the
     // best (min).
     for (size_t k = 0; k < n; ++k) values[k] = cands[k].slew_q.value;
     if (early)
       agg = smooth ? smooth_min(values, gamma, weights)
-                   : hard_min(values, weights);
+                   : hard_min(values);
     else
       agg = smooth ? smooth_max(values.data(), n, gamma,
                                 ws.cand_w_slew.data() + cache_off)
-                   : hard_max(values, weights);
+                   : hard_max(values);
     store(vi, agg, slew);
   }
   return changed;
