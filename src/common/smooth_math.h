@@ -109,22 +109,24 @@ inline double smooth_min(std::span<const double> xs, double gamma,
   return m - gamma * std::log(sum);
 }
 
-// Exact max / min, used by the timer's non-smoothed mode: the first operand
-// that no later one beats.  The hard timer has no backward pass, so no
-// subgradient is produced.
-inline double hard_max(std::span<const double> xs) {
+// Exact max with one-hot subgradient, used by the timer's non-smoothed mode.
+inline double hard_max(std::span<const double> xs, std::vector<double>& weights) {
   DTP_ASSERT(!xs.empty());
   size_t best = 0;
   for (size_t i = 1; i < xs.size(); ++i)
     if (xs[i] > xs[best]) best = i;
+  weights.assign(xs.size(), 0.0);
+  weights[best] = 1.0;
   return xs[best];
 }
 
-inline double hard_min(std::span<const double> xs) {
+inline double hard_min(std::span<const double> xs, std::vector<double>& weights) {
   DTP_ASSERT(!xs.empty());
   size_t best = 0;
   for (size_t i = 1; i < xs.size(); ++i)
     if (xs[i] < xs[best]) best = i;
+  weights.assign(xs.size(), 0.0);
+  weights[best] = 1.0;
   return xs[best];
 }
 

@@ -70,20 +70,8 @@ PoissonSolver::PoissonSolver(int m, double width, double height) : m_(m) {
 
 void PoissonSolver::solve(const std::vector<double>& rho,
                           std::vector<double>& field_x,
-                          std::vector<double>& field_y) const {
-  solve_into(rho, nullptr, field_x, field_y);
-}
-
-void PoissonSolver::solve(const std::vector<double>& rho, std::vector<double>& psi,
-                          std::vector<double>& field_x,
-                          std::vector<double>& field_y) const {
-  solve_into(rho, &psi, field_x, field_y);
-}
-
-void PoissonSolver::solve_into(const std::vector<double>& rho,
-                               std::vector<double>* psi,
-                               std::vector<double>& field_x,
-                               std::vector<double>& field_y) const {
+                          std::vector<double>& field_y,
+                          std::vector<double>* psi) const {
   const int m = m_;
   const size_t mm = static_cast<size_t>(m) * m;
   DTP_ASSERT(rho.size() == mm);

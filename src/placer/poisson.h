@@ -36,13 +36,17 @@ class PoissonSolver {
   // rho: bin densities, row-major rho[x * m + y], in area units (splat of
   // cell areas; the solver is linear so scaling is the caller's business).
   // Outputs (resized): the field components per bin — all the density force
-  // needs.
+  // needs — and, when psi is non-null, the potential per bin, at the cost of
+  // one more inverse-cosine pass and two transposes.  The fields are bitwise
+  // the same either way.
   void solve(const std::vector<double>& rho, std::vector<double>& field_x,
-             std::vector<double>& field_y) const;
-  // The same fields (bitwise), plus the potential psi per bin (resized), at
-  // the cost of one more inverse-cosine pass and two transposes.
+             std::vector<double>& field_y,
+             std::vector<double>* psi = nullptr) const;
+  // The potential-first argument order, for callers that always want psi.
   void solve(const std::vector<double>& rho, std::vector<double>& psi,
-             std::vector<double>& field_x, std::vector<double>& field_y) const;
+             std::vector<double>& field_x, std::vector<double>& field_y) const {
+    solve(rho, field_x, field_y, &psi);
+  }
 
   // System energy 0.5 * sum rho * psi of a solved rho/psi pair (tests and
   // monitoring).
@@ -54,11 +58,6 @@ class PoissonSolver {
 
  private:
   struct Impl;
-  // Both solve()s: psi is filled only when non-null.
-  void solve_into(const std::vector<double>& rho, std::vector<double>* psi,
-                  std::vector<double>& field_x,
-                  std::vector<double>& field_y) const;
-
   int m_;
   double wu_scale_x_, wu_scale_y_;  // k_u = u * pi / W (resp. H)
   // Shared so the solver stays copyable; the scratch inside is per-solve

@@ -18,28 +18,12 @@ HealthMonitor::HealthMonitor(HealthOptions options) : options_(options) {
   ring_.resize(static_cast<size_t>(std::max(1, options_.window)));
 }
 
-namespace {
-// Adds `v` into four partial sums, element i into s[i % 4], so that the adds
-// do not wait on each other.
-void add_into(double (&s)[4], std::span<const double> v) {
-  size_t i = 0;
-  for (; i + 4 <= v.size(); i += 4) {
-    s[0] += v[i];
-    s[1] += v[i + 1];
-    s[2] += v[i + 2];
-    s[3] += v[i + 3];
-  }
-  for (; i < v.size(); ++i) s[i % 4] += v[i];
-}
-}  // namespace
-
 bool HealthMonitor::all_finite(std::span<const double> a,
                                std::span<const double> b) {
-  // A NaN or an infinity makes its partial sum, and so the total, non-finite.
-  double s[4] = {0.0, 0.0, 0.0, 0.0};
-  add_into(s, a);
-  add_into(s, b);
-  if (std::isfinite((s[0] + s[1]) + (s[2] + s[3]))) return true;
+  double s = 0.0;
+  for (const double v : a) s += v;
+  for (const double v : b) s += v;
+  if (std::isfinite(s)) return true;
   // The sum of finite values can still overflow to Inf; confirm elementwise.
   return count_nonfinite(a, b) == 0;
 }

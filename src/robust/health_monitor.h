@@ -38,8 +38,8 @@ class HealthMonitor {
  public:
   explicit HealthMonitor(HealthOptions options = {});
 
-  // True iff every element of both spans is finite.  Fast path: four
-  // interleaved partial sums + one isfinite.
+  // True iff every element of both spans is finite.  Fast path: one float
+  // sum + one isfinite.
   static bool all_finite(std::span<const double> a, std::span<const double> b);
   static bool all_finite(std::span<const double> a) { return all_finite(a, {}); }
   static size_t count_nonfinite(std::span<const double> a,

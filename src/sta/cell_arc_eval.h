@@ -11,12 +11,12 @@
 //
 // Each candidate queries its arc's delay and transition tables at the same
 // (input slew, load).  When the caller passes a located load interval
-// (load_index, from Lut::locate_y on the pin's reference table), the pair
-// shares one slew search (Lut::lookup_grad_pair) and every candidate of the
-// pin shares the load search.  That is valid only for pins whose fan-in
-// tables share their axes (shares_lut_axes, checked once when the workspace
-// is built); other pins pass kSearchLoad and each table searches its own
-// axes.  Both ways give bitwise-identical queries.
+// (load_index, from Lut::locate_y on a table with the same load axis), the
+// pair shares one slew search (Lut::lookup_grad_pair) and every candidate of
+// the pin shares the load search.  That is valid only for arcs whose tables
+// share their axes (tables_share_axes, checked once per liberty arc when the
+// workspace is built); other arcs get kSearchLoad and each table searches its
+// own axes.  Both ways give bitwise-identical queries.
 //
 // The liberty arc is passed resolved (the graph stores an index into its
 // liberty-arc table, not a pointer), so callers write
@@ -55,15 +55,13 @@ inline int input_transitions(liberty::Unateness unate, int tr_out, int out[2]) {
 // load_index value asking every table to search its own axes.
 inline constexpr size_t kSearchLoad = SIZE_MAX;
 
-// True when one load search on `load_ref`'s y axis and one slew search per
-// candidate locate every query of `lib`: each output transition's delay and
-// transition tables have identical axes, and their load axis is load_ref's.
-inline bool shares_lut_axes(const liberty::TimingArc& lib,
-                            const liberty::Lut& load_ref) {
+// True when each output transition's delay and transition tables have
+// identical axes and both transitions share one load axis, so one slew search
+// per candidate and one load search serve all four tables of `lib`.
+inline bool tables_share_axes(const liberty::TimingArc& lib) {
   return lib.cell_rise.same_axes(lib.rise_transition) &&
          lib.cell_fall.same_axes(lib.fall_transition) &&
-         lib.cell_rise.same_y_axis(load_ref) &&
-         lib.cell_fall.same_y_axis(load_ref);
+         lib.cell_rise.same_y_axis(lib.cell_fall);
 }
 
 struct ArcCandidate {

@@ -370,12 +370,17 @@ bool Timer::update_cell_pin(PinId v, NetId out_net, bool early) {
   DTP_PROF_SCOPE("lut_interp");
   const double load =
       out_net == netlist::kInvalidId ? 0.0 : ws.net_root_load(out_net);
-  // One load search for the whole pin when its tables share their axes.
-  const size_t load_index =
-      ws.cand_shared_axes[static_cast<size_t>(v)]
-          ? graph_->lib_arc(graph_->arcs()[static_cast<size_t>(fanin[0])].lib_arc)
-                .cell_rise.locate_y(load)
-          : kSearchLoad;
+  // One load search for every fan-in arc in the first arc's load-axis class.
+  const int* axis_class = ws.load_axis_class.data();
+  const int lib0 = graph_->arcs()[static_cast<size_t>(fanin[0])].lib_arc;
+  const int ref_class = axis_class[lib0];
+  const size_t pin_load_index =
+      ref_class >= 0 ? graph_->lib_arc(lib0).cell_rise.locate_y(load)
+                     : kSearchLoad;
+  // A -1 arc under a -1 first arc gets pin_load_index, which is kSearchLoad.
+  auto load_index = [&](const Arc& arc) {
+    return axis_class[arc.lib_arc] == ref_class ? pin_load_index : kSearchLoad;
+  };
   LevelScratch& scratch = ws.level_scratch;
   std::vector<double>& values = scratch.values;
   std::vector<double>& weights = scratch.weights;
@@ -390,7 +395,7 @@ bool Timer::update_cell_pin(PinId v, NetId out_net, bool early) {
         const Arc& arc = graph_->arcs()[static_cast<size_t>(ai)];
         DTP_ASSERT(arc.kind == ArcKind::CellArc);
         gather_arc_candidates(graph_->lib_arc(arc.lib_arc), arc.from, tr_out,
-                              at, slew, load, load_index, out, count);
+                              at, slew, load, load_index(arc), out, count);
       }
       ws.cand_count[static_cast<size_t>(v) * 2 + static_cast<size_t>(tr_out)] =
           count;
@@ -401,7 +406,7 @@ bool Timer::update_cell_pin(PinId v, NetId out_net, bool early) {
         const Arc& arc = graph_->arcs()[static_cast<size_t>(ai)];
         DTP_ASSERT(arc.kind == ArcKind::CellArc);
         gather_arc_candidates(graph_->lib_arc(arc.lib_arc), arc.from, tr_out,
-                              at, slew, load, scratch.cands, load_index);
+                              at, slew, load, scratch.cands, load_index(arc));
       }
       cands = scratch.cands.data();
       count = static_cast<int>(scratch.cands.size());
@@ -420,22 +425,22 @@ bool Timer::update_cell_pin(PinId v, NetId out_net, bool early) {
     double agg;
     if (early)
       agg = smooth ? smooth_min(values, gamma, weights)
-                   : hard_min(values);
+                   : hard_min(values, weights);
     else
       agg = smooth ? smooth_max(values.data(), n, gamma,
                                 ws.cand_w_at.data() + cache_off)
-                   : hard_max(values);
+                   : hard_max(values, weights);
     store(vi, agg, at);
     // Slew aggregation (Eq. 11d): late takes the worst (max) slew, early the
     // best (min).
     for (size_t k = 0; k < n; ++k) values[k] = cands[k].slew_q.value;
     if (early)
       agg = smooth ? smooth_min(values, gamma, weights)
-                   : hard_min(values);
+                   : hard_min(values, weights);
     else
       agg = smooth ? smooth_max(values.data(), n, gamma,
                                 ws.cand_w_slew.data() + cache_off)
-                   : hard_max(values);
+                   : hard_max(values, weights);
     store(vi, agg, slew);
   }
   return changed;

@@ -99,7 +99,6 @@ TimingWorkspace::TimingWorkspace(const netlist::Design& design,
   // ---- candidate cache layout (static candidate count per transition) ----
   cand_base.assign(n_pins, -1);
   cand_tr_cap.assign(n_pins, 0);
-  cand_shared_axes.assign(n_pins, 0);
   cand_count.assign(n_pins * 2, 0);
   size_t cand_total = 0;
   size_t max_fanin = 1;
@@ -109,18 +108,12 @@ TimingWorkspace::TimingWorkspace(const netlist::Design& design,
     if (graph.arcs()[static_cast<size_t>(fanin[0])].kind != ArcKind::CellArc)
       continue;
     int per_tr = 0;
-    const liberty::Lut& load_ref =
-        graph.lib_arc(graph.arcs()[static_cast<size_t>(fanin[0])].lib_arc)
-            .cell_rise;
-    bool shared = true;
     for (const int ai : fanin) {
-      const liberty::TimingArc& lib =
-          graph.lib_arc(graph.arcs()[static_cast<size_t>(ai)].lib_arc);
       int trs[2];
-      per_tr += input_transitions(lib.unate, kRise, trs);
-      shared = shared && shares_lut_axes(lib, load_ref);
+      per_tr += input_transitions(
+          graph.lib_arc(graph.arcs()[static_cast<size_t>(ai)].lib_arc).unate,
+          kRise, trs);
     }
-    cand_shared_axes[p] = shared ? 1 : 0;
     max_fanin = std::max(max_fanin, fanin.size());
     cand_base[p] = static_cast<int>(cand_total);
     cand_tr_cap[p] = per_tr;
@@ -133,6 +126,24 @@ TimingWorkspace::TimingWorkspace(const netlist::Design& design,
   }
   // The vector-appending gather reserves two slots per arc before trimming.
   max_candidates_ = 2 * max_fanin;
+
+  // ---- load-axis classes, one per graph liberty arc ----
+  // An arc's class is the first arc with an identical load axis; its
+  // representative is the arc itself.
+  load_axis_class.assign(graph.num_lib_arcs(), -1);
+  for (size_t a = 0; a < load_axis_class.size(); ++a) {
+    const liberty::TimingArc& lib = graph.lib_arc(static_cast<int>(a));
+    if (!tables_share_axes(lib)) continue;
+    int cls = static_cast<int>(a);
+    for (size_t b = 0; b < a; ++b) {
+      if (load_axis_class[b] == static_cast<int>(b) &&
+          graph.lib_arc(static_cast<int>(b)).cell_rise.same_y_axis(lib.cell_rise)) {
+        cls = static_cast<int>(b);
+        break;
+      }
+    }
+    load_axis_class[a] = cls;
+  }
 
   // ---- static slot records ----
   const auto schedule = graph.level_pins();

@@ -17,8 +17,8 @@
 //     gathered candidates (LUT queries included) and, in smooth mode, their
 //     AT and slew softmax weights; the backward sweep and the RAT sweep reuse
 //     them instead of re-running lookup_grad and the LSE.  Beside it, a
-//     per-pin flag set at construction says whether the pin's fan-in tables
-//     share their axes, so one load search serves the whole pin;
+//     load-axis class per liberty arc, set at construction, says which arcs
+//     one load search serves;
 //   * static slot records — one per level-schedule slot (fan-in kind, wire
 //     source and arena node, driven net) plus a net-pin slot -> pin table.
 //     Both level sweeps stream them: the forward sweep in schedule order, the
@@ -138,13 +138,14 @@ class TimingWorkspace {
   }
   std::vector<int> cand_base;    // per pin; -1 when no cell-arc fan-in
   std::vector<int> cand_tr_cap;  // per pin: capacity per transition
-  // Per pin: every fan-in arc's tables pass shares_lut_axes against the first
-  // fan-in arc's cell_rise, whose locate_y then serves all of the pin's
-  // queries.  0 falls back to per-table axis searches.
-  std::vector<char> cand_shared_axes;
   std::vector<int> cand_count;   // [pin*2 + tr_out]: cached candidate count
   std::vector<ArcCandidate> cand;
   std::vector<double> cand_w_at, cand_w_slew;  // smooth mode only
+  // Per TimingGraph liberty arc: -1 when the arc's tables fail
+  // tables_share_axes, else the index of the first arc with an identical load
+  // axis.  Arcs of one class share a pin's load search; -1 arcs search per
+  // table.
+  std::vector<int> load_axis_class;
 
   // ---- static slot records ----
   // One record per slot of the level schedule (graph.level_pins() order), so

@@ -169,7 +169,7 @@ TEST(Poisson, FieldsOnlySolveMatchesSolveWithPotential) {
     std::vector<double> rho(static_cast<size_t>(m) * m);
     for (double& r : rho) r = rng.uniform(0.0, 4.0);
     std::vector<double> psi, ex, ey, fx, fy;
-    solver.solve(rho, psi, ex, ey);
+    solver.solve(rho, ex, ey, &psi);
     solver.solve(rho, fx, fy);
     ASSERT_EQ(fx.size(), ex.size());
     ASSERT_EQ(fy.size(), ey.size());

@@ -128,14 +128,15 @@ TEST(SmoothMath, SmoothMinIsNegatedSmoothMaxOfNegation) {
   EXPECT_GT(w[1], w[2]);
 }
 
-TEST(SmoothMath, HardMaxMin) {
+TEST(SmoothMath, HardMaxOneHot) {
   const std::vector<double> xs{1.0, 5.0, 2.0};
-  EXPECT_EQ(hard_max(xs), 5.0);
-  EXPECT_EQ(hard_min(xs), 1.0);
-  // Ties keep the first operand: -0 before +0 stays -0.
-  const std::vector<double> zeros{-0.0, 0.0};
-  EXPECT_TRUE(std::signbit(hard_max(zeros)));
-  EXPECT_TRUE(std::signbit(hard_min(zeros)));
+  std::vector<double> w;
+  EXPECT_EQ(hard_max(xs, w), 5.0);
+  EXPECT_EQ(w[0], 0.0);
+  EXPECT_EQ(w[1], 1.0);
+  EXPECT_EQ(w[2], 0.0);
+  EXPECT_EQ(hard_min(xs, w), 1.0);
+  EXPECT_EQ(w[0], 1.0);
 }
 
 // Property: the smooth_max weights are the analytic gradient of LSE.

@@ -259,9 +259,9 @@ bool same_bits(double a, double b) {
 // A Liberty-parsed library in which two cells' tables do not share their
 // axes: NAND2_X1's transition tables have another slew axis than its delay
 // tables, and INV_X1's fall tables another load axis than its rise tables.
-// Their output pins take the per-table search fallback, every other pin the
-// shared searches, and every cached LUT query equals two lookup_grad calls
-// on the arc's own tables, bit for bit.
+// Their arcs take the per-table search fallback (load-axis class -1), every
+// other arc the shared searches, and every cached LUT query equals two
+// lookup_grad calls on the arc's own tables, bit for bit.
 TEST(Sta, LutAxisFallbackMatchesPerTableQueries) {
   liberty::CellLibrary synth = liberty::make_synthetic_library();
   for (liberty::TimingArc& arc : synth.cell(synth.find_cell("NAND2_X1")).arcs) {
@@ -289,14 +289,23 @@ TEST(Sta, LutAxisFallbackMatchesPerTableQueries) {
   timer.evaluate(d.cell_x, d.cell_y);
   const TimingWorkspace& ws = timer.workspace();
 
+  ASSERT_EQ(ws.load_axis_class.size(), graph.num_lib_arcs());
   int shared_pins = 0, fallback_pins = 0;
   for (size_t p = 0; p < d.netlist.num_pins(); ++p) {
     const PinId v = static_cast<PinId>(p);
     if (ws.cand_base[p] < 0) continue;  // no cell-arc fan-in
     const int master = d.netlist.cell(d.netlist.pin(v).cell).lib_cell;
     const bool expect_shared = master != nand && master != inv;
-    EXPECT_EQ(ws.cand_shared_axes[p] != 0, expect_shared)
-        << lib.cell(master).name;
+    for (const int ai : graph.fanin(v)) {
+      const int cls =
+          ws.load_axis_class[static_cast<size_t>(graph.arcs()[static_cast<size_t>(ai)].lib_arc)];
+      EXPECT_EQ(cls >= 0, expect_shared) << lib.cell(master).name;
+      if (cls >= 0) {
+        // The class representative has the same load axis.
+        const auto& own = graph.lib_arc(graph.arcs()[static_cast<size_t>(ai)].lib_arc);
+        EXPECT_TRUE(graph.lib_arc(cls).cell_rise.same_y_axis(own.cell_rise));
+      }
+    }
     (expect_shared ? shared_pins : fallback_pins) += 1;
 
     const NetId out_net = graph.driven_timing_net(v);
